@@ -83,13 +83,9 @@ HELP = """commands:
                           .budget deadline=0.05 rounds=100 fringe
                           (.budget off clears it; bare .budget shows it)
   .engine [FLAG=on|off]   show or toggle fast-path flags for .run, e.g.
-                          .engine index_probes=off parallel=on
+                          .engine index_probes=off join_planner=on
                           (.engine all_on / .engine all_off reset the lot;
-                          also reports the rule-compiler plan-cache state
-                          and the sharded-cluster state of the last .run)
-  .workers N              evaluate .run fixpoints sharded across N worker
-                          processes (supervised, deterministic merge);
-                          .workers 0 or 1 goes back to in-process
+                          also reports the rule-compiler plan-cache state)
   .plan RULE              pretty-print the lowered IR for a rule, by head
                           predicate name or 1-based position in .list order
   .analyze                semantic analysis of the accumulated rules:
@@ -116,8 +112,6 @@ class Shell:
         self.budget: Budget | None = None
         self.engine = EngineOptions()
         self.view: MaterializedView | None = None
-        #: cluster summary of the last sharded .run (shown by .engine)
-        self.last_cluster: dict | None = None
 
     def write(self, text: str) -> None:
         print(text, file=self.out)
@@ -192,8 +186,6 @@ class Shell:
             self._set_budget(rest)
         elif command == ".engine":
             self._set_engine(rest)
-        elif command == ".workers":
-            self._set_workers(rest)
         else:
             self.write(f"unknown command {command!r}; try .help")
         return True
@@ -316,29 +308,6 @@ class Shell:
                 "{hits} hits, {misses} misses, "
                 "{invalidations} invalidations".format(**cache)
             )
-            if self.engine.sharded:
-                pool = self.engine.shard_workers or "auto"
-                self.write(f"cluster: sharded over {pool} worker process(es)")
-            else:
-                self.write("cluster: off (in-process evaluation)")
-            if self.last_cluster is not None:
-                summary = self.last_cluster
-                states = ", ".join(summary.get("worker_states", ())) or "-"
-                self.write(
-                    "last run: {dispatched} shard(s) dispatched, "
-                    "{redispatched} re-dispatched, {restarts} worker "
-                    "restart(s), workers [{states}]{degraded}".format(
-                        dispatched=summary.get("shards_dispatched", 0),
-                        redispatched=summary.get("shards_redispatched", 0),
-                        restarts=summary.get("restarts", 0),
-                        states=states,
-                        degraded=(
-                            " -- DEGRADED to in-process"
-                            if summary.get("degraded")
-                            else ""
-                        ),
-                    )
-                )
             return
         if spec == "all_on":
             self.engine = EngineOptions.all_on()
@@ -349,6 +318,9 @@ class Shell:
             # the demand-driven query path is togglable too, though it is
             # not a fixpoint grid flag (absent from as_dict)
             known["magic"] = self.engine.magic
+            # check every token before applying any, so a bad token leaves
+            # the engine exactly as it was
+            updates: dict[str, bool] = {}
             for token in spec.split():
                 name, sep, state = token.partition("=")
                 if not sep or name not in known or state not in ("on", "off"):
@@ -357,30 +329,9 @@ class Shell:
                         f"{sorted(known)} (or .engine all_on / all_off)"
                     )
                     return
-                self.engine = replace(self.engine, **{name: state == "on"})
+                updates[name] = state == "on"
+            self.engine = replace(self.engine, **updates)
         self._set_engine("")
-
-    def _set_workers(self, spec: str) -> None:
-        from dataclasses import replace
-
-        try:
-            count = int(spec)
-        except ValueError:
-            self.write("usage: .workers N (0 or 1 turns sharding off)")
-            return
-        if count < 0:
-            self.write("usage: .workers N (0 or 1 turns sharding off)")
-            return
-        if count <= 1:
-            self.engine = replace(self.engine, sharded=False, shard_workers=0)
-            self.write("sharding off; .run evaluates in-process")
-            return
-        self.engine = replace(self.engine, sharded=True, shard_workers=count)
-        self.write(
-            f"sharding on: .run fans rounds across {count} worker "
-            "processes (byte-identical to serial; degrades to in-process "
-            "on pool failure)"
-        )
 
     def _query(self, text: str) -> None:
         if self._magic_query(text):
@@ -459,12 +410,7 @@ class Shell:
         )
         world, stats = program.evaluate(self.db)
         self.db = world
-        self.last_cluster = stats.cluster
         status = f"fixpoint in {stats.iterations} iterations"
-        if self.engine.sharded and stats.shard_rounds:
-            status += f" ({stats.shard_rounds} sharded round(s))"
-        if stats.shard_fallback:
-            status += f" [cluster degraded: {stats.shard_fallback}]"
         if stats.incomplete:
             exhausted = (stats.budget or {}).get("budget_kind", "budget")
             status = (

@@ -92,27 +92,19 @@ ABLATION_GRID: tuple[tuple[str, EngineOptions], ...] = (
         (f"no_{flag}", replace(EngineOptions.all_on(), **{flag: False}))
         for flag in EngineOptions.all_on().as_dict()
     ),
-    # the three plan/index/parallel layers off together while the original
-    # cache layers stay on: the pre-planner "serial scan" engine
+    # the plan and index layers off together while the original cache
+    # layers stay on: the pre-planner "serial scan" engine
     (
         "serial_scan",
         replace(
             EngineOptions.all_on(),
             join_planner=False,
             index_probes=False,
-            parallel=False,
         ),
     ),
-    # pinned worker count: the auto-sized pool degrades to the serial path
-    # on single-CPU runners, so the threaded round executor must be forced
-    # to actually run multi-worker under conformance
-    ("parallel_forced", replace(EngineOptions.all_on(), parallel_workers=3)),
     # compiled vs interpreted differential pair: compiled_off is the
-    # interpreted oracle with every other layer live, compiled_forced runs
-    # compiled closures inside forced multi-worker rounds (worker count
-    # distinct from parallel_forced so the two strategies stay independent)
+    # interpreted oracle with every other layer live, checked against all_on
     ("compiled_off", replace(EngineOptions.all_on(), compile_rules=False)),
-    ("compiled_forced", replace(EngineOptions.all_on(), parallel_workers=2)),
     # the semantic-optimizer differential pair: semantic_off is the
     # unrewritten oracle (the auto-generated no_optimize_semantic ablation
     # under its acceptance-criterion name) -- any fixpoint difference against
@@ -160,15 +152,6 @@ def strategies_for(spec: CaseSpec) -> list[Strategy]:
         routes.append(Strategy("incremental", _incremental_runner(churn=0)))
         routes.append(
             Strategy("incremental_chaos", _incremental_runner(churn=2))
-        )
-        # multi-process sharded evaluation: replay the case through the
-        # worker pool and demand a *byte-identical* fixpoint against the
-        # serial engine; the chaos variant additionally kills workers
-        # mid-round (supervised restart + re-dispatch must not change a
-        # single tuple)
-        routes.append(Strategy("sharded", _sharded_runner(process_chaos=False)))
-        routes.append(
-            Strategy("sharded_chaos", _sharded_runner(process_chaos=True))
         )
         # demand-driven magic-set queries: derive bound queries from the
         # target's own fixpoint and demand answers identical to the filtered
@@ -351,82 +334,6 @@ def _incremental_runner(churn: int) -> Callable[[CaseSpec], GeneralizedRelation]
             return result
         finally:
             view.close()
-
-    return run
-
-
-class ShardedDivergenceError(Exception):
-    """The sharded fixpoint differed from serial, byte for byte."""
-
-
-def _sharded_runner(
-    process_chaos: bool,
-) -> Callable[[CaseSpec], GeneralizedRelation]:
-    """Multi-process sharded evaluation, differentially byte-checked.
-
-    Runs the case twice from fresh builds -- once on the serial engine,
-    once through the :class:`~repro.runtime.cluster.ShardedExecutor`
-    (``force=True`` so even single-shard rounds cross the process
-    boundary) -- and raises :class:`ShardedDivergenceError` unless every
-    relation's *insertion order* matches tuple for tuple.  With
-    ``process_chaos`` a seeded :class:`ProcessFaultPolicy` kills workers
-    mid-round; supervised restart and re-dispatch must leave the bytes
-    unchanged.  Pool-level degradation (the engine falling back to the
-    in-process path) is sound and intentionally *not* an error: the
-    fallback recomputes the round from the synced world.
-    """
-    from repro.runtime.chaos import ProcessFaultPolicy
-    from repro.runtime.cluster import ClusterConfig
-
-    def run(spec: CaseSpec) -> GeneralizedRelation:
-        base = replace(EngineOptions.all_on(), parallel=False)
-        serial_case = build_case(spec)
-        serial = DatalogProgram(
-            serial_case.rules, serial_case.theory, options=base
-        )
-        world_s, _stats = serial.evaluate(
-            serial_case.database, semantics=spec.semantics
-        )
-        faults = (
-            ProcessFaultPolicy(
-                p=0.08,
-                seed=spec.seed,
-                faults=("worker_kill",),
-                max_consecutive=2,
-            )
-            if process_chaos
-            else None
-        )
-        cluster = ClusterConfig(
-            workers=2,
-            min_slice=2,
-            force=True,
-            max_restarts=6,
-            max_task_retries=4,
-            backoff_base_seconds=0.001,
-            faults=faults,
-        )
-        case = build_case(spec)
-        program = DatalogProgram(
-            case.rules,
-            case.theory,
-            options=replace(base, sharded=True, cluster=cluster),
-        )
-        world_x, _stats_x = program.evaluate(
-            case.database, semantics=spec.semantics
-        )
-        for name in world_s.names():
-            left = world_s.relation(name).tuples()
-            right = world_x.relation(name).tuples()
-            if [t.atoms for t in left] != [t.atoms for t in right]:
-                raise ShardedDivergenceError(
-                    f"sharded fixpoint diverged from serial on {name!r} "
-                    f"(serial {len(left)} tuples, sharded {len(right)})"
-                )
-        result = GeneralizedRelation("result", case.output, case.theory)
-        for item in world_x.relation(spec.target):
-            result.add(item)
-        return result
 
     return run
 

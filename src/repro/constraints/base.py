@@ -25,9 +25,9 @@ _MISS = object()
 def _evict_one(table: dict) -> None:
     """Drop the oldest entry of a FIFO memo table (best effort).
 
-    The parallel Datalog engine shares one cache across worker threads;
-    concurrent evictions can race between picking a victim and popping it, so
-    the pop tolerates a vanished key rather than surfacing a spurious error.
+    A cache may be shared across threads; concurrent evictions can race
+    between picking a victim and popping it, so the pop tolerates a vanished
+    key rather than surfacing a spurious error.
     """
     try:
         table.pop(next(iter(table)), None)

@@ -147,8 +147,7 @@ class EqualityTheory(ConstraintTheory):
         downward from -1 are used (tests that care can inject a factory).
         """
         super().__init__(cache)
-        # module-level default (not a lambda) so the theory pickles across
-        # the sharded executor's process boundary
+        # module-level default (not a lambda) so the theory stays picklable
         self._fresh_factory = fresh_factory or _default_fresh
 
     def validate_atom(self, atom: Atom) -> None:

@@ -226,7 +226,7 @@ def _complement_dnf(
     """Complement DNF of a negated atom via the shared per-version cache.
 
     Same cache dict and same keys as ``DatalogProgram._complement``, so the
-    parallel driver's pre-warm pass covers the compiled workers too.
+    interpreted and compiled paths share one complement per content version.
     """
     if caches.complement is None:
         return relation_complement_dnf(relation, atom.args, theory)
@@ -329,13 +329,6 @@ class CompiledRule:
         #: in the interpreter; the answer is a pure function of the rule)
         self._root_ctx: Any = None
         self._root_sat: bool | None = None
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        raise TypeError(
-            "CompiledRule is process-local (it holds locks and lowered "
-            "closures); ship the program fingerprint and re-lower in the "
-            "worker instead (see repro.runtime.cluster)"
-        )
 
     # ------------------------------------------------------------ entry cache
     def _record(
@@ -838,14 +831,6 @@ class CompiledProgram:
         #: foreign rule objects registered in _by_id, kept alive so their
         #: ids stay valid keys
         self._pinned: list[Any] = []
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        raise TypeError(
-            "CompiledProgram is process-local (its rules hold locks and "
-            "lowered closures); shard tasks carry the PlanCache program "
-            "fingerprint and workers re-lower locally "
-            "(see repro.runtime.cluster)"
-        )
 
     def compiled_for(self, rule: Any) -> CompiledRule | None:
         compiled = self._by_id.get(id(rule))

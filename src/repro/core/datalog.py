@@ -27,12 +27,9 @@ Theorems 3.14.2 / 4.11.2).
 
 from __future__ import annotations
 
-import contextvars
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -52,11 +49,9 @@ from repro.errors import (
     NotClosedError,
     StaticAnalysisError,
 )
-from repro.errors import ClusterError
 from repro.indexing.pool import JoinIndexPool
 from repro.logic.syntax import Atom, Not, RelationAtom
 from repro.runtime.budget import Budget, active_meter, metered, tick
-from repro.runtime.cluster import ClusterConfig, ShardedExecutor
 
 
 @dataclass(frozen=True)
@@ -159,9 +154,6 @@ class EngineOptions:
     #: conjunction pins or interval-bounds a join variable, instead of
     #: scanning the full renamed choice list
     index_probes: bool = True
-    #: fan independent (rule, delta-position) firings of a round across a
-    #: thread pool with a deterministic merge order
-    parallel: bool = True
     #: lower planned rules to specialized closures (:mod:`repro.core.compile`)
     #: cached in the process-wide PlanCache; off, the interpreted join is the
     #: differential oracle the compiled path is checked against
@@ -182,27 +174,12 @@ class EngineOptions:
     #: budget the caller installed via ``supervised``.  Not a perf flag, so
     #: absent from ``as_dict`` like ``analyze``.
     budget: Budget | None = None
-    #: worker-thread count for ``parallel`` (0 = derive from the CPU count).
-    #: A sizing knob rather than an optimization, so absent from ``as_dict``.
-    parallel_workers: int = 0
-    #: fan each round's shard tasks across a *process* pool
-    #: (:mod:`repro.runtime.cluster`) with a shard-order merge that is
-    #: byte-identical to serial; degrades to the in-process parallel path
-    #: (never an error) when the pool is unavailable or exhausted.  A
-    #: placement strategy rather than a grid optimization, so absent from
-    #: ``as_dict`` like ``parallel_workers``.
-    sharded: bool = False
-    #: worker-process count for ``sharded`` (0 = derive from the CPU count)
-    shard_workers: int = 0
-    #: supervision/liveness/fault-injection knobs for the sharded pool
-    #: (``None``: :class:`repro.runtime.cluster.ClusterConfig` defaults)
-    cluster: ClusterConfig | None = None
     #: demand-driven query evaluation (:mod:`repro.core.query`): rewrite
     #: bound queries with constraint-generalized magic sets and reuse cached
     #: answers via containment.  Off, ``Engine.query`` evaluates the full
     #: fixpoint and filters -- the differential oracle the magic path is
     #: checked against.  A query-path strategy, not a fixpoint grid flag, so
-    #: deliberately absent from ``as_dict`` like ``sharded``.
+    #: deliberately absent from ``as_dict`` like ``analyze``.
     magic: bool = True
 
     @classmethod
@@ -219,7 +196,6 @@ class EngineOptions:
             pin_filter=False,
             join_planner=False,
             index_probes=False,
-            parallel=False,
             compile_rules=False,
             optimize_semantic=False,
         )
@@ -233,7 +209,6 @@ class EngineOptions:
             "pin_filter": self.pin_filter,
             "join_planner": self.join_planner,
             "index_probes": self.index_probes,
-            "parallel": self.parallel,
             "compile_rules": self.compile_rules,
             "optimize_semantic": self.optimize_semantic,
         }
@@ -268,8 +243,6 @@ class EvaluationStats:
     index_probes: int = 0
     index_candidates: int = 0
     index_scan_avoided: int = 0
-    parallel_rounds: int = 0
-    parallel_tasks: int = 0
     #: PlanCache traffic for this evaluation (compiled path only)
     compile_hits: int = 0
     compile_misses: int = 0
@@ -301,40 +274,26 @@ class EvaluationStats:
     #: semantic-optimizer outcomes (:mod:`repro.analysis.semantic`), copied
     #: from the program's construction-time rewrite into every evaluation's
     #: stats.  Deliberately absent from ``_MERGE_FIELDS``: they describe the
-    #: program, not per-round work, so folding worker/apply stats would
+    #: program, not per-evaluation work, so folding per-apply stats would
     #: double-count them.
     semantic_rules_subsumed: int = 0
     semantic_literals_eliminated: int = 0
     semantic_view_rewrites: int = 0
     semantic_containment_checks: int = 0
     semantic_containment_seconds: float = 0.0
-    #: sharded execution (:mod:`repro.runtime.cluster`): rounds dispatched
-    #: to the process pool, shard tasks shipped, shards re-dispatched
-    #: (straggler speculation, crash recovery, corrupt-result retries), and
-    #: worker restarts observed by the supervisor
-    shard_rounds: int = 0
-    shard_tasks: int = 0
-    shard_redispatches: int = 0
-    worker_restarts: int = 0
-    #: "" normally; "in-process" when the sharded pool degraded and the
-    #: engine fell back to the thread path (graceful, never an error)
-    shard_fallback: str = ""
     #: demand-driven query path (:mod:`repro.core.query`): magic rules
     #: generated by the rewrite, IDB predicates that fell back to full
     #: evaluation because their derivation cone contains negation, whether
     #: the whole plan degraded to full evaluation, the restricted cone's
     #: tuple count vs the would-be full answer relation, and reuse-cache
     #: traffic.  Like the semantic_* fields these describe the query plan,
-    #: not per-round work, so they are absent from ``_MERGE_FIELDS``.
+    #: not per-evaluation work, so they are absent from ``_MERGE_FIELDS``.
     magic_rules: int = 0
     magic_fallback_predicates: tuple[str, ...] = ()
     magic_full_fallback: bool = False
     magic_cone_tuples: int = 0
     magic_reuse_hits: int = 0
     magic_reuse_misses: int = 0
-    #: last cluster summary (workers alive/restarted, shards dispatched /
-    #: re-dispatched) when sharded execution ran; None otherwise
-    cluster: dict | None = None
     per_round_new: list[int] = field(default_factory=list)
     #: True when a budget tripped in ``partial_results="fringe"`` mode and
     #: the returned database is the last sound under-approximation
@@ -363,73 +322,35 @@ class EvaluationStats:
             + self.theory_cache_hits
         )
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "iterations": self.iterations,
-            "rule_firings": self.rule_firings,
-            "join_steps": self.join_steps,
-            "tuples_derived": self.tuples_derived,
-            "tuples_added": self.tuples_added,
-            "sat_checks": self.sat_checks,
-            "join_prunes": self.join_prunes,
-            "pin_prunes": self.pin_prunes,
-            "closure_extensions": self.closure_extensions,
-            "rename_cache_hits": self.rename_cache_hits,
-            "rename_cache_misses": self.rename_cache_misses,
-            "complement_cache_hits": self.complement_cache_hits,
-            "complement_cache_misses": self.complement_cache_misses,
-            "theory_cache_hits": self.theory_cache_hits,
-            "theory_cache_misses": self.theory_cache_misses,
-            "plans_built": self.plans_built,
-            "plan_reorders": self.plan_reorders,
-            "index_probes": self.index_probes,
-            "index_candidates": self.index_candidates,
-            "index_scan_avoided": self.index_scan_avoided,
-            "parallel_rounds": self.parallel_rounds,
-            "parallel_tasks": self.parallel_tasks,
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
-            "compile_invalidations": self.compile_invalidations,
-            "compiled_rules": self.compiled_rules,
-            "compiled_firings": self.compiled_firings,
-            "fastpath_leaves": self.fastpath_leaves,
-            "compile_seconds": self.compile_seconds,
-            "ivm_steps": self.ivm_steps,
-            "ivm_inserts": self.ivm_inserts,
-            "ivm_retracts": self.ivm_retracts,
-            "ivm_derived_added": self.ivm_derived_added,
-            "ivm_derived_removed": self.ivm_derived_removed,
-            "ivm_overdeleted": self.ivm_overdeleted,
-            "ivm_rederived": self.ivm_rederived,
-            "ivm_rederivation_ratio": self.ivm_rederivation_ratio,
-            "ivm_count_clamps": self.ivm_count_clamps,
-            "ivm_recomputed_strata": self.ivm_recomputed_strata,
-            "ivm_maintain_seconds": self.ivm_maintain_seconds,
-            "semantic_rules_subsumed": self.semantic_rules_subsumed,
-            "semantic_literals_eliminated": self.semantic_literals_eliminated,
-            "semantic_view_rewrites": self.semantic_view_rewrites,
-            "semantic_containment_checks": self.semantic_containment_checks,
-            "semantic_containment_seconds": self.semantic_containment_seconds,
-            "cache_hits": self.cache_hits,
-            "shard_rounds": self.shard_rounds,
-            "shard_tasks": self.shard_tasks,
-            "shard_redispatches": self.shard_redispatches,
-            "worker_restarts": self.worker_restarts,
-            "shard_fallback": self.shard_fallback,
-            "magic_rules": self.magic_rules,
-            "magic_fallback_predicates": list(self.magic_fallback_predicates),
-            "magic_full_fallback": self.magic_full_fallback,
-            "magic_cone_tuples": self.magic_cone_tuples,
-            "magic_reuse_hits": self.magic_reuse_hits,
-            "magic_reuse_misses": self.magic_reuse_misses,
-            "cluster": dict(self.cluster) if self.cluster is not None else None,
-            "per_round_new": list(self.per_round_new),
-            "incomplete": self.incomplete,
-            "budget": dict(self.budget) if self.budget is not None else None,
-        }
+    @property
+    def parallel_rounds(self) -> int:
+        """Always 0: every fixpoint round runs serially in the calling thread.
 
-    #: additive counters folded from worker-local stats into the round
-    #: aggregate; iteration/round bookkeeping stays with the driver
+        The name stays readable because the ``perfbench`` benchmark reports
+        it as ``core.datalog.parallel_rounds``.  The paper's round-synchronous
+        parallel evaluation (Section 3.3, Thm 3.21) is counted in rounds by
+        :mod:`repro.core.fringe`, not by this engine.
+        """
+        return 0
+
+    def as_dict(self) -> dict[str, object]:
+        """Every field plus the derived ``cache_hits`` and
+        ``ivm_rederivation_ratio``, with containers copied as JSON-ready
+        lists and dicts."""
+        payload: dict[str, object] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, (list, tuple)):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            payload[spec.name] = value
+        payload["cache_hits"] = self.cache_hits
+        payload["ivm_rederivation_ratio"] = self.ivm_rederivation_ratio
+        return payload
+
+    #: additive counters folded by :meth:`merge`; iteration/round
+    #: bookkeeping (``iterations``, ``per_round_new``) is left alone
     _MERGE_FIELDS = (
         "rule_firings",
         "join_steps",
@@ -447,10 +368,6 @@ class EvaluationStats:
         "index_probes",
         "index_candidates",
         "index_scan_avoided",
-        # compiler counters: workers lower variants and fire compiled rules
-        # against local stats, so these fold like the join counters; the
-        # PlanCache traffic counters are driver-side but merge harmlessly
-        # (workers never touch them)
         "compile_hits",
         "compile_misses",
         "compile_invalidations",
@@ -458,8 +375,6 @@ class EvaluationStats:
         "compiled_firings",
         "fastpath_leaves",
         "compile_seconds",
-        # ivm counters: workers never touch them mid-round, but the view's
-        # cumulative stats aggregate per-apply stats with the same merge()
         "ivm_steps",
         "ivm_inserts",
         "ivm_retracts",
@@ -470,23 +385,17 @@ class EvaluationStats:
         "ivm_count_clamps",
         "ivm_recomputed_strata",
         "ivm_maintain_seconds",
-        # sharded-execution counters: per-shard worker stats never carry
-        # them, but aggregates-of-aggregates (the ivm view's cumulative
-        # stats, harness roll-ups) fold them additively like the rest
-        "shard_rounds",
-        "shard_tasks",
-        "shard_redispatches",
-        "worker_restarts",
     )
 
     def merge(self, other: "EvaluationStats") -> None:
-        """Fold a parallel worker's counters into this aggregate."""
+        """Add ``other``'s additive counters into this aggregate (the view's
+        cumulative stats sum per-apply stats this way)."""
         for name in self._MERGE_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class _EvalCaches:
-    """Per-evaluation cache and executor state (one per ``evaluate`` call).
+    """Per-evaluation cache state (one per ``evaluate`` call).
 
     ``rename`` maps (relation name, body-atom args) to {id(tuple): (tuple,
     renamed atoms)}; the stored tuple reference keeps the id stable.  The
@@ -497,10 +406,7 @@ class _EvalCaches:
     complement DNF, so unchanged relations are never recomplemented.
 
     ``pool`` holds the evaluation's :class:`JoinIndexPool` (None when index
-    probing is off or the theory has no generalized index).  ``executor`` is
-    the parallel round's worker pool, created lazily on the first round that
-    actually fans out and shut down by the drivers' ``finally`` via
-    :meth:`close`.
+    probing is off or the theory has no generalized index).
 
     ``compiled`` is the evaluation's :class:`repro.core.compile.
     CompiledProgram` (None when ``compile_rules`` is off), fetched from the
@@ -512,25 +418,16 @@ class _EvalCaches:
     (classified entry records per tuple), ``cscan`` (scan lists per
     relation content version) and ``cprobe`` (probe results per content
     version) are the compiled path's per-evaluation caches.
-
-    Worker threads share this object.  The rename cache's mutations are
-    single-dict operations on amortized-immutable values (atomic under the
-    GIL), the complement cache is populated before the fan-out, and the
-    pool takes its own lock.
     """
 
     __slots__ = (
         "rename",
         "complement",
         "pool",
-        "workers",
-        "_executor",
         "compiled",
         "centries",
         "cscan",
         "cprobe",
-        "sharded_exec",
-        "cluster_dead",
     )
 
     def __init__(
@@ -546,13 +443,6 @@ class _EvalCaches:
         if options.index_probes:
             pool = JoinIndexPool(theory)
             self.pool = pool if pool.supported else None
-        self.workers = options.parallel_workers or min(4, os.cpu_count() or 1)
-        self._executor: ThreadPoolExecutor | None = None
-        #: the sharded process-pool executor (repro.runtime.cluster),
-        #: created lazily on the first sharded round; ``cluster_dead``
-        #: latches whole-pool degradation for the rest of the evaluation
-        self.sharded_exec: ShardedExecutor | None = None
-        self.cluster_dead = False
         self.compiled: rulecompile.CompiledProgram | None = None
         # entry/scan caches honor the rename-cache ablation flag (they are
         # the compiled path's analogue of the interpreter's rename cache);
@@ -569,22 +459,6 @@ class _EvalCaches:
                 stats.compile_misses += 0 if hit else 1
                 stats.compile_invalidations += 1 if invalidated else 0
                 stats.compile_seconds += time.perf_counter() - started
-
-    @property
-    def executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-round"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self.sharded_exec is not None:
-            self.sharded_exec.close()
-            self.sharded_exec = None
 
 
 class DatalogProgram:
@@ -875,8 +749,6 @@ class DatalogProgram:
                         break
         except BudgetExceededError as error:
             return self._budget_interrupt(error, world, stats)
-        finally:
-            caches.close()
         return world, stats
 
     def _prepare(self, database: GeneralizedDatabase) -> GeneralizedDatabase:
@@ -953,8 +825,6 @@ class DatalogProgram:
                     return world, stats
         except BudgetExceededError as error:
             return self._budget_interrupt(error, world, stats)
-        finally:
-            caches.close()
 
     def _evaluate_semi_naive(
         self, database: GeneralizedDatabase, max_iterations: int
@@ -974,8 +844,6 @@ class DatalogProgram:
             )
         except BudgetExceededError as error:
             return self._budget_interrupt(error, world, stats)
-        finally:
-            caches.close()
 
     def _semi_naive_loop(
         self,
@@ -1048,8 +916,6 @@ class DatalogProgram:
                     return world, stats
         except BudgetExceededError as error:
             return self._budget_interrupt(error, world, stats)
-        finally:
-            caches.close()
 
     # -------------------------------------------------------- round execution
     def _execute_round(
@@ -1061,123 +927,19 @@ class DatalogProgram:
     ) -> list[tuple[str, GeneralizedTuple]]:
         """Fire every (rule, delta, delta-position) task of one round.
 
-        The parallel path splits the task list into contiguous chunks, runs
-        each chunk on the worker pool, and concatenates chunk results *in
-        chunk order* -- so the derived list is element-for-element the list
-        the serial path would produce, and the merge into the world (hence
-        the fixpoint) is deterministic.  Each chunk runs under
-        ``contextvars.copy_context()`` so the ambient budget meter and the
-        chaos runtime propagate into the worker thread; a worker's
-        :class:`BudgetExceededError` (or chaos fault) resurfaces here after
-        all futures settle and flows into the drivers' existing handlers,
-        preserving the supervisor's fringe semantics under parallelism.
-
-        With ``options.sharded`` the round is first offered to the
-        multi-process executor (:mod:`repro.runtime.cluster`), whose
-        shard-order merge is byte-identical by the same argument; a
-        declined round (too small to ship) or a degraded pool falls
-        through to the in-process paths below.
+        Tasks fire in order, in the calling thread, and the derived list is
+        their firings concatenated in task order -- so the merge into the
+        world (hence the fixpoint and its insertion order) is deterministic.
+        A budget trip or chaos fault inside a firing propagates unchanged
+        into the drivers' handlers, preserving the supervisor's fringe
+        semantics.
         """
-        if self.options.sharded and not caches.cluster_dead and tasks:
-            sharded = self._execute_round_sharded(tasks, world, stats, caches)
-            if sharded is not None:
-                return sharded
-        if not self.options.parallel or caches.workers <= 1 or len(tasks) <= 1:
-            derived: list[tuple[str, GeneralizedTuple]] = []
-            for rule, delta, delta_position in tasks:
-                derived.extend(
-                    self._fire(rule, world, stats, caches, delta, delta_position)
-                )
-            return derived
-        stats.parallel_rounds += 1
-        stats.parallel_tasks += len(tasks)
-        # warm the complement cache in the driver thread: workers then only
-        # read it, and cache hit/miss counts stay deterministic
-        if caches.complement is not None:
-            for rule, _delta, _position in tasks:
-                for atom in rule.negative_atoms:
-                    self._complement(atom, world.relation(atom.name), caches, stats)
-        chunk_count = min(len(tasks), caches.workers)
-        bounds = [
-            (len(tasks) * i // chunk_count, len(tasks) * (i + 1) // chunk_count)
-            for i in range(chunk_count)
-        ]
-        futures = []
-        for start, stop in bounds:
-            context = contextvars.copy_context()
-            futures.append(
-                caches.executor.submit(
-                    context.run, self._fire_chunk, tasks[start:stop], world, caches
-                )
-            )
-        derived = []
-        error: BaseException | None = None
-        for future in futures:
-            try:
-                chunk_derived, local = future.result()
-            except BaseException as exc:  # budget trip, chaos fault, or bug
-                if error is None:
-                    error = exc
-                continue
-            if error is None:
-                derived.extend(chunk_derived)
-                stats.merge(local)
-        if error is not None:
-            raise error
-        return derived
-
-    def _execute_round_sharded(
-        self,
-        tasks: list[tuple[Rule, dict | None, int | None]],
-        world: GeneralizedDatabase,
-        stats: EvaluationStats,
-        caches: _EvalCaches,
-    ) -> list[tuple[str, GeneralizedTuple]] | None:
-        """Offer one round to the process pool; ``None`` = use in-process.
-
-        Degradation ladder: any :class:`ClusterError` (spawn failure,
-        worker exhaustion after bounded restarts, retry budgets spent)
-        latches ``cluster_dead``, tags the stats, and returns ``None`` so
-        the caller re-executes the *whole* round in-process -- sound and
-        deterministic because a round is a pure function of the world and
-        delta, and no partial shard results were merged.  Budget trips
-        inside workers re-raise as :class:`BudgetExceededError` and flow
-        into the drivers' fringe handling unchanged.
-        """
-        executor = caches.sharded_exec
-        if executor is None:
-            try:
-                executor = ShardedExecutor(self, world)
-            except ClusterError:
-                caches.cluster_dead = True
-                stats.shard_fallback = "in-process"
-                return None
-            caches.sharded_exec = executor
-        try:
-            return executor.execute_round(tasks, world, stats)
-        except ClusterError:
-            caches.cluster_dead = True
-            caches.sharded_exec = None
-            executor.degraded = True
-            stats.shard_fallback = "in-process"
-            stats.cluster = executor.summary()
-            executor.close()
-            return None
-
-    def _fire_chunk(
-        self,
-        chunk: list[tuple[Rule, dict | None, int | None]],
-        world: GeneralizedDatabase,
-        caches: _EvalCaches,
-    ) -> tuple[list[tuple[str, GeneralizedTuple]], EvaluationStats]:
-        """Worker body: fire a contiguous task chunk against local stats."""
-        local = EvaluationStats()
         derived: list[tuple[str, GeneralizedTuple]] = []
-        for rule, delta, delta_position in chunk:
+        for rule, delta, delta_position in tasks:
             derived.extend(
-                self._fire(rule, world, local, caches, delta, delta_position)
+                self._fire(rule, world, stats, caches, delta, delta_position)
             )
-        return derived, local
+        return derived
 
     # ------------------------------------------------------------ rule firing
     def _plan(

@@ -28,12 +28,12 @@ the change rather than the database:
   batch re-evaluates (and says so in ``ivm_recomputed_strata``).
 
 Everything fires through :meth:`repro.core.datalog.DatalogProgram.
-_execute_round` -- the same planner, index pool, budget ticks, parallel
-round executor and PR 6 compiled closures as from-scratch evaluation; the
-maintenance programs are ordinary :class:`DatalogProgram` instances cached
-in the process-wide plan cache, and the per-view ``_EvalCaches`` persist
-across maintenance steps so :class:`repro.indexing.pool.JoinIndexPool`
-probes stay warm (retraction triggers the pool's versioned rebuild).
+_execute_round` -- the same planner, index pool, budget ticks and compiled
+closures as from-scratch evaluation; the maintenance programs are ordinary
+:class:`DatalogProgram` instances cached in the process-wide plan cache,
+and the per-view ``_EvalCaches`` persist across maintenance steps so
+:class:`repro.indexing.pool.JoinIndexPool` probes stay warm (retraction
+triggers the pool's versioned rebuild).
 
 **Canonical-form equality.**  Both the maintained and the from-scratch path
 admit tuples through ``theory.canonicalize``, a deterministic function of
@@ -197,16 +197,11 @@ class MaterializedView:
         #: maintenance depends on *derivation counts*, which subsumption
         #: removal would change, and delta rules carry non-standard
         #: semantics the containment argument does not cover.
-        #: ``sharded`` is pinned off too: maintenance deltas are small and
-        #: latency-bound, so shipping them to a process pool would cost
-        #: more than the work it parallelizes
         self._opts = replace(
             program.options,
             analyze=False,
             budget=None,
             optimize_semantic=False,
-            sharded=False,
-            cluster=None,
         )
         self._mode = self._resolve_mode()
         self._strata: list[_Stratum] = (
@@ -229,14 +224,10 @@ class MaterializedView:
         self.close()
 
     def close(self) -> None:
-        """Shut down the view's persistent executors and caches."""
-        if self._caches is not None:
-            self._caches.close()
-            self._caches = None
+        """Drop the view's persistent evaluation caches."""
+        self._caches = None
         for stratum in self._strata:
-            if stratum.caches is not None:
-                stratum.caches.close()
-                stratum.caches = None
+            stratum.caches = None
 
     def _resolve_mode(self) -> str:
         if not self.program.has_negation():

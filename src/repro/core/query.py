@@ -8,7 +8,7 @@ flows through the *existing* evaluation stack unchanged -- the semantic
 optimizer, the process-wide :data:`repro.core.compile.PLAN_CACHE` (adorned
 programs have their own fingerprints, so repeated bound queries of the same
 shape warm-hit regardless of the binding constants, which live in the
-seeded data), compiled closures, parallel rounds and sharding.
+seeded data) and compiled closures.
 
 On top of the rewrite sits a **query-result reuse cache**
 (:class:`QueryCache`): when a new query's binding region is *contained* in

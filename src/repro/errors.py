@@ -135,33 +135,6 @@ class StaleViewError(EvaluationError):
     """
 
 
-class ClusterError(ReproError):
-    """The multi-process sharded executor could not provide service.
-
-    Raised internally by :mod:`repro.runtime.cluster` when the pool cannot be
-    brought up (spawn failure) or has been torn down.  The Datalog engine
-    catches it and degrades to the in-process parallel path -- callers only
-    ever see the degradation tag in ``EvaluationStats``, never this error.
-    """
-
-
-class WorkerCrashError(ClusterError):
-    """A shard worker died and exhausted its bounded restart budget.
-
-    Carries the worker id and the restart count so supervisors can log the
-    lifecycle (spawn -> live -> suspect -> restarted -> exhausted).  Like its
-    base class this never escapes ``DatalogProgram.evaluate``: worker
-    exhaustion degrades the whole pool to the in-process path.
-    """
-
-    def __init__(
-        self, message: str, worker_id: int | None = None, restarts: int = 0
-    ) -> None:
-        self.worker_id = worker_id
-        self.restarts = restarts
-        super().__init__(message)
-
-
 class StaticAnalysisError(ReproError):
     """The opt-in engine pre-flight found error-severity diagnostics.
 

@@ -13,8 +13,8 @@ and records stable, comparable records into ``BENCH_datalog.json`` (via
   lemma (Section 5).
 
 Every engine workload runs once per ablation column (all optimizations on,
-all off, each of the three PR-5 layers -- join planner, index probes,
-parallel rounds -- individually off, and the PR-6 rule compiler off),
+all off, the join planner and index probes individually off, and the rule
+compiler off),
 asserts that *all columns produce the identical fixpoint*, and records
 per-column wall-clock plus the relevant engine counters.  A separate
 ``compile_stats`` record microbenches the PlanCache: cold ``evaluate()``
@@ -40,7 +40,6 @@ faster than a cold one.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -64,12 +63,11 @@ T(x, y) :- T(x, z), E(z, y).
 """
 
 #: ablation columns recorded per workload: the two extremes plus each of
-#: the four fast-path layers this engine generation added, individually off
+#: three fast-path layers individually off
 COLUMNS: tuple[tuple[str, EngineOptions], ...] = (
     ("all_on", EngineOptions.all_on()),
     ("no_join_planner", EngineOptions(join_planner=False)),
     ("no_index_probes", EngineOptions(index_probes=False)),
-    ("no_parallel", EngineOptions(parallel=False)),
     ("no_compile", EngineOptions(compile_rules=False)),
     ("all_off", EngineOptions.all_off()),
 )
@@ -83,7 +81,6 @@ _TRACKED = (
     "plan_reorders",
     "index_probes",
     "index_scan_avoided",
-    "parallel_rounds",
     "compiled_firings",
     "fastpath_leaves",
     "cache_hits",
@@ -446,73 +443,6 @@ def _bench_ivm(sizes: Iterable[int], repeat: int) -> dict[str, Any]:
     }
 
 
-def _bench_sharded(n: int, repeat: int) -> dict[str, Any]:
-    """Sharded multi-process vs. serial evaluation on the dense TC chain.
-
-    Both columns run the *interpreted* engine (``compile_rules`` and
-    ``index_probes`` off, thread pool off) so the comparison is
-    like-for-like: the compiled point fast path finishes dense TC so
-    quickly that IPC dominates any pool, which would measure pickling, not
-    sharding.  The sharded column fans rounds across ``min(8, cpu)``
-    worker processes.  Byte-identity of the fixpoints is asserted here
-    (raising :class:`BenchError` on divergence) and recorded; the
-    ``--check`` gate additionally enforces the 3x speedup floor, but only
-    for documents recorded on >= 8 cores -- on small CI runners the pool
-    has no parallelism to win, and the record is informational.
-    """
-    from repro.runtime.cluster import ClusterConfig
-
-    cores = os.cpu_count() or 1
-    workers = min(8, max(2, cores))
-    base = replace(
-        EngineOptions.all_on(),
-        parallel=False,
-        compile_rules=False,
-        index_probes=False,
-    )
-    cluster = ClusterConfig(workers=workers, min_slice=4)
-    rounds = max(repeat, 3)
-
-    def timed(options: EngineOptions) -> tuple[float, Any, Any]:
-        theory = DenseOrderTheory()
-        rules = parse_rules(TC_RULES, theory=theory)
-        best = None
-        world = stats = None
-        for _ in range(rounds):
-            db = _dense_db(n)
-            program = DatalogProgram(rules, db.theory, options=options)
-            started = time.perf_counter()
-            world, stats = program.evaluate(db)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return best, world, stats
-
-    serial_s, serial_world, _serial_stats = timed(base)
-    sharded_s, sharded_world, sharded_stats = timed(
-        replace(base, sharded=True, cluster=cluster)
-    )
-    identical = all(
-        serial_world.relation(name).tuples() == sharded_world.relation(name).tuples()
-        for name in serial_world.names()
-    )
-    if not identical:
-        raise BenchError(f"sharded fixpoint differs from serial at N={n}")
-    return {
-        "workload": "sharded multi-process vs serial: dense TC (interpreted engine)",
-        "size": n,
-        "cores": cores,
-        "workers": workers,
-        "serial_s": round(serial_s, 6),
-        "sharded_s": round(sharded_s, 6),
-        "speedup_sharded": round(serial_s / max(sharded_s, 1e-9), 3),
-        "shard_rounds": sharded_stats.shard_rounds,
-        "shard_tasks": sharded_stats.shard_tasks,
-        "worker_restarts": sharded_stats.worker_restarts,
-        "degraded": bool(sharded_stats.shard_fallback),
-        "identical_fixpoints": True,
-    }
-
-
 def _bench_magic(n: int, repeat: int) -> dict[str, Any]:
     """Demand-driven magic query vs. full-fixpoint-then-filter on dense TC.
 
@@ -581,9 +511,6 @@ def _bench_magic(n: int, repeat: int) -> dict[str, Any]:
 # ------------------------------------------------------------------ checking
 #: smallest chain length at which the ivm_stats 5x floor applies
 _IVM_FLOOR_MIN_N = 32
-
-#: smallest recorded core count at which the sharded_stats 3x floor applies
-_SHARDED_FLOOR_MIN_CORES = 8
 
 
 def _collect_speedups(document: dict[str, Any]) -> dict[str, float]:
@@ -668,30 +595,6 @@ def check_regression(
                     f"{name}: clean-program analysis overhead {overhead}% "
                     "above the 5% cap"
                 )
-        elif name.startswith("sharded_stats"):
-            # byte-identity and no degradation are unconditional; the 3x
-            # speedup floor applies only to documents recorded on >= 8
-            # cores -- a small runner's pool has no parallelism to win and
-            # its ratio is informational, not a gate
-            if not record.get("identical_fixpoints"):
-                failures.append(
-                    f"{name}: sharded fixpoint differs from serial"
-                )
-            if record.get("degraded"):
-                failures.append(
-                    f"{name}: sharded run degraded to the in-process path"
-                )
-            cores = record.get("cores")
-            ratio = record.get("speedup_sharded")
-            if (
-                isinstance(cores, int)
-                and cores >= _SHARDED_FLOOR_MIN_CORES
-                and (not isinstance(ratio, (int, float)) or ratio < 3)
-            ):
-                failures.append(
-                    f"{name}: sharded speedup {ratio}x below the 3x floor "
-                    f"on a {cores}-core recorder"
-                )
         elif name.startswith("magic_stats"):
             # absolute gates for the demand-driven query path: a bound TC
             # query must beat full-fixpoint-then-filter by at least 5x with
@@ -722,7 +625,6 @@ PROFILES = {
         "boolean": 6,
         "econfig": 24,
         "ivm": [32],
-        "sharded": 32,
         # the acceptance criterion pins the magic workload at N=64 even in
         # the smoke profile: the 5x floor is only meaningful against the
         # quadratic full closure
@@ -734,7 +636,6 @@ PROFILES = {
         "boolean": 10,
         "econfig": 48,
         "ivm": [32, 64],
-        "sharded": 64,
         "magic": 64,
     },
 }
@@ -788,9 +689,6 @@ def main(argv: list[str] | None = None) -> int:
         f"ivm_stats[{args.profile}]": _bench_ivm(profile["ivm"], args.repeat),
         f"semantic_stats[{args.profile}]": _bench_semantic(
             max(profile["dense"]), args.repeat
-        ),
-        f"sharded_stats[{args.profile}]": _bench_sharded(
-            profile["sharded"], args.repeat
         ),
         f"magic_stats[{args.profile}]": _bench_magic(
             profile["magic"], args.repeat

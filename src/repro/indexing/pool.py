@@ -28,10 +28,9 @@ counter; when it moves, the entry's index is rebuilt from current content
 but only fire on retraction, so the append-only fast path is unchanged and
 a long run of insert-only maintenance steps never rebuilds.
 
-Thread safety: the parallel round executor probes the pool from worker
-threads.  A single lock serializes catch-up and query; probes are
-read-mostly after warm-up, and the tree query itself is cheap relative to
-the join work it saves.
+Thread safety: a single lock serializes catch-up and query, so a pool may
+be probed from more than one thread; probes are read-mostly after warm-up,
+and the tree query itself is cheap relative to the join work it saves.
 
 Soundness: index keys are the *hull* of each tuple's projection
 (disequalities relaxed -- see :func:`tuple_projection_interval`), so the
@@ -47,11 +46,7 @@ from fractions import Fraction
 
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.core.generalized import GeneralizedRelation, GeneralizedTuple
-from repro.indexing.generalized_index import (
-    GeneralizedIndex1D,
-    tuple_projection_interval,
-)
-from repro.indexing.interval import Interval
+from repro.indexing.generalized_index import GeneralizedIndex1D
 
 
 class JoinIndexPool:
@@ -194,39 +189,3 @@ class IndexProbeHandle:
             pool.candidates += len(hits)
             pool.scan_avoided += len(relation) - len(hits)
             return hits
-
-
-def shard_hull_key(
-    theory: object, item: GeneralizedTuple
-) -> tuple[str, float] | None:
-    """An affinity key for routing a shard that starts at ``item``.
-
-    The sharded executor (:mod:`repro.runtime.cluster`) range-partitions
-    dense-order work by the hull of each slice's first tuple -- the same
-    projection-interval hull the 1-d index keys on -- so slices covering
-    nearby regions of the order land on the same worker and its theory
-    caches stay hot.  For theories without interval projections (equality,
-    boolean) the key is a stable content hash for hash partitioning.
-
-    Affinity only: the deterministic merge is by shard order, so a key of
-    any quality (or ``None``: round-robin) never affects results.
-    """
-    from zlib import crc32
-
-    from repro.runtime.chaos import unwrap_theory
-
-    base = unwrap_theory(theory)  # type: ignore[arg-type]
-    if isinstance(base, DenseOrderTheory) and item.variables:
-        interval = tuple_projection_interval(item, item.variables[0], base)
-        if interval is not None:
-            low = interval.low
-            high = interval.high
-            if low is not None and high is not None:
-                return ("range", float((low + high) / 2))
-            if low is not None:
-                return ("range", float(low))
-            if high is not None:
-                return ("range", float(high))
-        return None
-    digest = crc32("|".join(sorted(str(a) for a in item.atoms)).encode())
-    return ("hash", float(digest))

@@ -23,20 +23,12 @@ from repro.runtime.chaos import (
     ChaosRuntime,
     ChaosStats,
     ChaosTheory,
-    ProcessFaultPolicy,
     ResilientTheory,
     chaos_scope,
     current_chaos,
     harden,
     parse_chaos_spec,
     unwrap_theory,
-)
-from repro.runtime.cluster import (
-    ClusterConfig,
-    ShardedExecutor,
-    ShardResult,
-    ShardTask,
-    WorkerSupervisor,
 )
 
 __all__ = [
@@ -53,16 +45,10 @@ __all__ = [
     "ChaosRuntime",
     "ChaosStats",
     "ChaosTheory",
-    "ProcessFaultPolicy",
     "ResilientTheory",
     "chaos_scope",
     "current_chaos",
     "harden",
     "parse_chaos_spec",
     "unwrap_theory",
-    "ClusterConfig",
-    "ShardedExecutor",
-    "ShardResult",
-    "ShardTask",
-    "WorkerSupervisor",
 ]

@@ -75,10 +75,8 @@ class ResourceReport:
     ``budget_kind`` names the limit that tripped (``"deadline"``,
     ``"qe_steps"``, ``"rounds"``, ``"tuples"``, ``"joins"``, ``"cancelled"``);
     ``scope`` distinguishes a global budget (``"global"``) from a QE-ladder
-    rung sub-budget (``"qe_rung"``) and a sharded-worker lease (``"shard"``);
-    ``counts`` has the per-site tick totals observed so far -- the "partial
-    progress" of the run.  Frozen (and lock/lambda-free) so reports pickle
-    across the process boundary and back into the parent meter.
+    rung sub-budget (``"qe_rung"``); ``counts`` has the per-site tick totals
+    observed so far -- the "partial progress" of the run.
     """
 
     budget_kind: str
@@ -184,8 +182,8 @@ class BudgetMeter:
         self.scope = scope
         self.started = time.monotonic()
         self.counts: dict[str, int] = {site: 0 for site in SITES}
-        # the engine's parallel rounds tick one shared meter from several
-        # worker threads; the lock keeps the read-modify-write lossless
+        # a meter may be ticked from more than one thread (a supervised
+        # caller can share it); the lock keeps the read-modify-write lossless
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ ticks
@@ -241,82 +239,6 @@ class BudgetMeter:
             scope=self.scope,
             note=note,
         )
-
-    # ------------------------------------------------------- cross-process
-    def remaining_seconds(self) -> float | None:
-        """Wall-clock budget left on the deadline (``None``: no deadline)."""
-        deadline = self.budget.deadline_seconds
-        if deadline is None:
-            return None
-        return max(deadline - (time.monotonic() - self.started), 0.0)
-
-    def split_leases(self, parts: int) -> list[Budget]:
-        """Carve ``parts`` never-over-granting child budgets ("leases").
-
-        The sharded executor runs every shard of a round under a *lease*
-        meter built in the worker from a serialized :class:`Budget`
-        snapshot.  Each divisible site limit grants ``floor(remaining /
-        parts)`` units, so the sum of all leases never exceeds what this
-        meter has left; workers report :meth:`settled_counts` (clamped at
-        the lease) and the parent charges them back via :meth:`absorb`.
-        The wall-clock deadline is shared rather than divided -- shards run
-        concurrently against the same clock.  Rounds are excluded: workers
-        never tick the ``round`` site.
-        """
-        if parts < 1:
-            raise ValueError(f"parts must be >= 1, not {parts}")
-        with self._lock:
-            snapshot = dict(self.counts)
-        fields: dict[str, Any] = {}
-        for site, (_kind, attr) in _SITE_LIMITS.items():
-            if attr == "rounds":
-                continue
-            limit = getattr(self.budget, attr)
-            if limit is None:
-                continue
-            remaining = max(int(limit) - snapshot.get(site, 0), 0)
-            fields[attr] = remaining // parts
-        deadline = self.remaining_seconds()
-        if deadline is not None:
-            fields["deadline_seconds"] = deadline
-        if self.budget.qe_rung_steps is not None:
-            fields["qe_rung_steps"] = self.budget.qe_rung_steps
-        lease = Budget(partial_results="raise", **fields)
-        return [lease] * parts
-
-    def settled_counts(self) -> dict[str, int]:
-        """Per-site tick counts clamped at this meter's budget limits.
-
-        :meth:`tick` increments *then* checks, so a tripped meter's raw
-        count overshoots its limit by the refused tick.  Cross-process
-        accounting reports settled counts instead: the refused unit of work
-        was never performed, and clamping keeps the sum of worker reports
-        within the parent's grant (the over-grant property test relies on
-        this).
-        """
-        with self._lock:
-            snapshot = dict(self.counts)
-        settled: dict[str, int] = {}
-        for site, used in snapshot.items():
-            mapped = _SITE_LIMITS.get(site)
-            if mapped is not None:
-                limit = getattr(self.budget, mapped[1])
-                if limit is not None:
-                    used = min(used, int(limit))
-            settled[site] = used
-        return settled
-
-    def absorb(self, counts: dict[str, int]) -> None:
-        """Charge a worker's settled tick counts back to this meter.
-
-        Iterates sites in the fixed :data:`SITES` order so absorption is
-        deterministic; a lease that consumed the last of a global limit
-        trips here exactly like the same ticks would have locally.
-        """
-        for site in SITES:
-            amount = counts.get(site, 0)
-            if amount:
-                self.tick(site, amount)
 
     # ------------------------------------------------------------- sub-budgets
     def rung_meter(self, steps: int | None = None) -> "BudgetMeter":

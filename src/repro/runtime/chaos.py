@@ -62,88 +62,6 @@ RAISING_FAULTS = frozenset({"transient", "spurious_unsat", "theory_error"})
 #: fault kinds enabled by default (hard theory_error is opt-in)
 DEFAULT_FAULTS = ("transient", "latency", "spurious_unsat", "memory_spike")
 
-#: process-level fault kinds injected by the sharded executor's workers
-PROCESS_FAULTS = (
-    "worker_kill",
-    "heartbeat_stall",
-    "drop_result",
-    "corrupt_result",
-)
-
-
-@dataclass(frozen=True)
-class ProcessFaultPolicy:
-    """Seeded process-level fault plan for the sharded executor.
-
-    Decisions are a pure function of ``(seed, round, shard, attempt)`` --
-    *not* of which worker happens to execute the shard -- so a re-dispatched
-    shard replays deterministically and the conformance runner's
-    zero-mismatch acceptance stays non-flaky.  The fairness bound mirrors
-    :class:`ChaosPolicy.max_consecutive`: once a shard has been retried
-    ``max_consecutive`` times, no further fault is injected for it, so a
-    per-task retry budget of at least ``max_consecutive`` always converges.
-
-    Fault kinds (see :data:`PROCESS_FAULTS`):
-
-    ``worker_kill``
-        the worker process exits hard (``os._exit``) before reporting;
-    ``heartbeat_stall``
-        the worker pauses its heartbeat past the liveness deadline while
-        sleeping, forcing the supervisor down the suspect/restart path;
-    ``drop_result``
-        the shard computes but its result message is never sent
-        (exercises the straggler timeout and speculative re-dispatch);
-    ``corrupt_result``
-        the result message arrives with a garbage program fingerprint and
-        must be discarded by driver-side validation.
-    """
-
-    seed: int = 0
-    #: per-shard-attempt injection probability
-    p: float = 0.05
-    faults: tuple[str, ...] = PROCESS_FAULTS
-    #: fairness bound on the shard's *attempt* number: attempts at or past
-    #: this count are never faulted, so bounded retries always succeed
-    max_consecutive: int = 2
-    #: how long a stalled heartbeat stays silent (seconds)
-    stall_seconds: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"injection probability must be in [0,1], got {self.p}")
-        if self.max_consecutive < 1:
-            raise ValueError("max_consecutive must be >= 1")
-        unknown = set(self.faults) - set(PROCESS_FAULTS)
-        if unknown:
-            raise ValueError(f"unknown process faults: {sorted(unknown)}")
-
-    def decide(self, round_id: int, shard_id: int, attempt: int) -> str | None:
-        """The fault (if any) for one shard attempt -- deterministic."""
-        if not self.faults or attempt >= self.max_consecutive:
-            return None
-        # mix the coordinates into one integer seed; Random(seed) is then
-        # stable across processes and re-dispatches (unlike hash(), which
-        # is salted per interpreter)
-        mixed = (
-            self.seed * 1_000_003
-            + round_id * 8_191
-            + shard_id * 131
-            + attempt
-        )
-        rng = random.Random(mixed)
-        if rng.random() >= self.p:
-            return None
-        return self.faults[rng.randrange(len(self.faults))]
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "p": self.p,
-            "faults": list(self.faults),
-            "max_consecutive": self.max_consecutive,
-            "stall_seconds": self.stall_seconds,
-        }
-
 
 @dataclass(frozen=True)
 class ChaosPolicy:
@@ -205,34 +123,9 @@ class ChaosStats:
         self.injected[fault] = self.injected.get(fault, 0) + 1
         self.by_site[site] = self.by_site.get(site, 0) + 1
 
-    def merge(self, other: "ChaosStats") -> None:
-        """Fold another runtime's accounting into this one.
-
-        The sharded executor arms a fresh :class:`ChaosRuntime` inside each
-        worker (from the same frozen policy); accepted shard results carry
-        the worker's stats back, and the driver merges them here so
-        ``.as_dict()`` reflects the whole distributed run.
-        """
-        self.calls += other.calls
-        for fault, count in other.injected.items():
-            self.injected[fault] = self.injected.get(fault, 0) + count
-        for site, count in other.by_site.items():
-            self.by_site[site] = self.by_site.get(site, 0) + count
-        self.suppressed_by_fairness += other.suppressed_by_fairness
-        self.retries += other.retries
-        self.retry_successes += other.retry_successes
-
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
-
-    @property
-    def process_faults_injected(self) -> int:
-        return sum(
-            count
-            for fault, count in self.injected.items()
-            if fault in PROCESS_FAULTS
-        )
 
     def as_dict(self) -> dict[str, Any]:
         return {

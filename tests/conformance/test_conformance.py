@@ -37,33 +37,27 @@ def test_every_ablation_config_is_exercised():
     """Acceptance criterion: each EngineOptions ablation runs in some pair."""
     report = run_conformance("dense_order", cases=20, seed=resolve_seed(0))
     exercised, total = report.options_coverage()
-    # coverage keys by as_dict, under which parallel_forced and
-    # compiled_forced (worker-count overrides, deliberately outside as_dict)
-    # collapse into all_on, compiled_off into no_compile_rules, and
-    # semantic_off (the acceptance-criterion alias) into no_optimize_semantic
+    # coverage keys by as_dict, under which compiled_off collapses into
+    # no_compile_rules and semantic_off (the acceptance-criterion alias)
+    # into no_optimize_semantic
     distinct = len({frozenset(o.as_dict().items()) for _, o in ABLATION_GRID})
     assert (exercised, total) == (distinct, distinct)
-    assert distinct == len(ABLATION_GRID) - 4
+    assert distinct == len(ABLATION_GRID) - 2
     assert report.ok, [f.discrepancy.describe() for f in report.failures]
 
 
 def test_ablation_grid_shape():
     labels = [label for label, _ in ABLATION_GRID]
     assert labels[:2] == ["all_on", "all_off"]
-    # all_on + all_off + one per as_dict flag + serial_scan + parallel_forced
-    # + compiled_off + compiled_forced + semantic_off
+    # all_on + all_off + one per as_dict flag + serial_scan + compiled_off
+    # + semantic_off
     flags = len(ABLATION_GRID[0][1].as_dict())
-    assert len(labels) == flags + 7
-    # every grid entry is a distinct configuration (parallel_forced and
-    # compiled_forced differ only in worker count, which as_dict omits),
-    # except the stable public aliases of auto-generated entries --
-    # compiled_off for no_compile_rules and semantic_off for
-    # no_optimize_semantic -- so nightly tooling can reference each
-    # differential pair by name regardless of flag spelling
-    distinct = {
-        (frozenset(o.as_dict().items()), o.parallel_workers)
-        for _, o in ABLATION_GRID
-    }
+    assert len(labels) == flags + 5
+    # every grid entry is a distinct configuration except the stable public
+    # aliases of auto-generated entries -- compiled_off for no_compile_rules
+    # and semantic_off for no_optimize_semantic -- so nightly tooling can
+    # reference each differential pair by name regardless of flag spelling
+    distinct = {frozenset(o.as_dict().items()) for _, o in ABLATION_GRID}
     assert len(distinct) == len(labels) - 2
     assert "compiled_off" in labels and "no_compile_rules" in labels
     assert "semantic_off" in labels and "no_optimize_semantic" in labels
@@ -102,9 +96,7 @@ def test_datalog_registry_contains_all_ablations_and_naive():
         flags = len(ABLATION_GRID[0][1].as_dict())
         assert sum(1 for n in names if n.startswith("datalog[no_")) == flags
         assert "datalog[serial_scan]" in names
-        assert "datalog[parallel_forced]" in names
         assert "datalog[compiled_off]" in names
-        assert "datalog[compiled_forced]" in names
         return
     pytest.fail("no datalog case generated in 200 seeds")
 

@@ -86,11 +86,11 @@ class TestEngineCommand:
         output = run([".engine"])
         assert "join_planner=on" in output
         assert "index_probes=on" in output
-        assert "parallel=on" in output
+        assert "pin_filter=on" in output
 
     def test_toggle_and_run(self):
         output = run([
-            ".engine index_probes=off parallel=off",
+            ".engine index_probes=off pin_filter=off",
             ".engine",
             ".relation E(x, y)",
             ".point E: 0, 1",
@@ -100,7 +100,7 @@ class TestEngineCommand:
             ".run",
         ])
         assert "index_probes=off" in output
-        assert "parallel=off" in output
+        assert "pin_filter=off" in output
         assert "fixpoint in" in output
 
     def test_all_off_and_all_on(self):
@@ -111,6 +111,17 @@ class TestEngineCommand:
     def test_bad_flag_reports_usage(self):
         output = run([".engine warp_drive=on"])
         assert "usage: .engine" in output
+
+    def test_bad_token_applies_no_flag(self):
+        # every token is checked before any is applied: a valid flag next
+        # to an unknown one changes nothing
+        out = io.StringIO()
+        shell = Shell(out=out)
+        shell.handle(".engine index_probes=off bogus=on")
+        shell.handle(".engine pin_filter=off parallel=off")
+        assert out.getvalue().count("usage: .engine") == 2
+        assert shell.engine.index_probes is True
+        assert shell.engine.pin_filter is True
 
     def test_reports_plan_cache_state(self):
         from repro.core.compile import PLAN_CACHE
@@ -254,39 +265,6 @@ class TestViewCommand:
         ])
         assert "STALE" in output
         assert "error:" in output  # StaleViewError surfaced as a shell error
-
-
-class TestWorkersCommand:
-    def test_workers_toggle_and_engine_report(self):
-        output = run([".workers 2", ".engine", ".workers 0", ".engine"])
-        assert "sharding on" in output
-        assert "cluster: sharded over 2 worker process(es)" in output
-        assert "sharding off" in output
-        assert "cluster: off (in-process evaluation)" in output
-
-    def test_workers_usage(self):
-        output = run([".workers", ".workers nope", ".workers -3"])
-        assert output.count("usage: .workers N") == 3
-
-    def test_sharded_run_reports_cluster_state(self):
-        output = run([
-            ".relation E(x, y)",
-            ".point E: 1, 2",
-            ".point E: 2, 3",
-            ".point E: 3, 4",
-            ".rule T(x, y) :- E(x, y).",
-            ".rule T(x, y) :- T(x, z), E(z, y).",
-            ".workers 2",
-            ".run",
-            ".engine",
-        ])
-        assert "sharded round(s)" in output
-        assert "shard(s) dispatched" in output
-        assert "workers [live, live]" in output
-
-    def test_help_mentions_workers(self):
-        output = run([".help"])
-        assert ".workers N" in output
 
 
 class TestMagicQueryRouting:

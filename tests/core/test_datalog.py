@@ -1,5 +1,6 @@
 """Tests for Datalog + constraints and inflationary Datalog-not."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from repro.constraints.dense_order import DenseOrderTheory, le, lt
 from repro.constraints.equality import EqualityTheory
 from repro.constraints.equality import ne as ene
 from repro.constraints.real_poly import RealPolynomialTheory, poly_eq
-from repro.core.datalog import DatalogProgram, Rule
+from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats, Rule
 from repro.core.generalized import GeneralizedDatabase
 from repro.errors import (
+    BudgetExceededError,
     EvaluationError,
     FixpointDivergenceError,
     NotClosedError,
@@ -18,6 +20,8 @@ from repro.errors import (
 from repro.logic.parser import parse_rules
 from repro.logic.syntax import Not, RelationAtom
 from repro.poly.polynomial import poly_var
+from repro.runtime.budget import Budget, metered
+from repro.workloads.orders import chain_edges
 
 order = DenseOrderTheory()
 
@@ -261,6 +265,102 @@ class TestStats:
         assert stats.per_round_new[-1] == 0
         assert sum(stats.per_round_new) == stats.tuples_added
         assert stats.rule_firings > 0
+
+    def test_merge_is_additive(self):
+        a = EvaluationStats(join_steps=3, rule_firings=1, index_probes=2)
+        b = EvaluationStats(join_steps=4, rule_firings=5, pin_prunes=7)
+        a.merge(b)
+        assert a.join_steps == 7
+        assert a.rule_firings == 6
+        assert a.index_probes == 2
+        assert a.pin_prunes == 7
+
+    def test_merge_leaves_round_bookkeeping_alone(self):
+        a = EvaluationStats(iterations=2, per_round_new=[1])
+        a.merge(EvaluationStats(iterations=9, per_round_new=[5, 5]))
+        assert a.iterations == 2
+        assert a.per_round_new == [1]
+
+    def test_as_dict_covers_every_field(self):
+        stats = EvaluationStats(
+            join_steps=4,
+            magic_fallback_predicates=("T",),
+            per_round_new=[2, 0],
+            budget={"budget_kind": "joins"},
+        )
+        payload = stats.as_dict()
+        names = {spec.name for spec in dataclasses.fields(stats)}
+        assert set(payload) == names | {"cache_hits", "ivm_rederivation_ratio"}
+        assert payload["join_steps"] == 4
+        # containers come back as JSON-ready copies
+        assert payload["magic_fallback_predicates"] == ["T"]
+        assert payload["per_round_new"] == [2, 0]
+        assert payload["per_round_new"] is not stats.per_round_new
+        assert payload["budget"] == {"budget_kind": "joins"}
+        assert payload["budget"] is not stats.budget
+
+    def test_parallel_rounds_reads_zero(self):
+        # rounds always run serially; the name stays readable for the
+        # perfbench tracer but is not part of the exported stats
+        _world, stats = _evaluate_three_way(6)
+        assert stats.iterations > 0
+        assert stats.parallel_rounds == 0
+        assert "parallel_rounds" not in stats.as_dict()
+
+
+#: two recursive rules plus a three-way join: several tasks per round
+THREE_WAY_RULES = """
+T(x, y) :- E(x, y).
+T(x, y) :- T(x, z), E(z, y).
+S(x, w) :- E(x, y), T(y, z), E(z, w).
+"""
+
+
+def _evaluate_three_way(n=10, **options):
+    program = DatalogProgram(
+        parse_rules(THREE_WAY_RULES, theory=order),
+        order,
+        options=EngineOptions(**options),
+    )
+    return program.evaluate(chain_edges(n))
+
+
+def _fingerprint(world):
+    return {
+        name: frozenset(t.atoms for t in world.relation(name))
+        for name in ("T", "S")
+    }
+
+
+class TestSerialRounds:
+    def test_repeated_runs_identical(self):
+        worlds = [_evaluate_three_way()[0] for _ in range(3)]
+        for name in ("T", "S"):
+            orders = {tuple(w.relation(name).tuples()) for w in worlds}
+            assert len(orders) == 1  # insertion order included
+
+    def test_join_budget_raise_propagates(self):
+        with pytest.raises(BudgetExceededError) as excinfo:
+            _evaluate_three_way(budget=Budget(joins=40))
+        assert excinfo.value.report.budget_kind == "joins"
+
+    def test_join_budget_fringe_is_sound_stage(self):
+        budget = Budget(joins=40, partial_results="fringe")
+        world, stats = _evaluate_three_way(budget=budget)
+        assert stats.incomplete
+        assert stats.budget["budget_kind"] == "joins"
+        # fringe soundness: everything derived is in the true fixpoint
+        full, _ = _evaluate_three_way()
+        for name in ("T", "S"):
+            assert _fingerprint(world)[name] <= _fingerprint(full)[name]
+
+    def test_ambient_meter_join_count_matches_stats(self):
+        meter = Budget(partial_results="fringe").start()
+        program = DatalogProgram(parse_rules(THREE_WAY_RULES, theory=order), order)
+        with metered(meter):
+            _world, stats = program.evaluate(chain_edges(6))
+        assert stats.join_steps > 0
+        assert meter.counts["join"] == stats.join_steps
 
 
 class TestStratified:

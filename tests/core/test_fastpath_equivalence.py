@@ -186,23 +186,21 @@ class TestIncrementalClosure:
 
 
 class TestFourTheoryMatrix:
-    """Planner + index probes + parallel workers across all four theories.
+    """Planner + index probes + rule compiler across all four theories.
 
     Drives conformance-generated datalog cases (dense order, equality,
     boolean, real polynomial) through the engine under every interesting
-    flag combination -- all on, all off, only the three new layers off
-    ("serial scan"), and a forced multi-worker parallel config -- under
-    both fixpoint orders and all semantics, and requires identical
-    canonical fixpoints.  ``parallel_workers=3`` matters: the auto-sized
-    pool degrades to the serial path on single-CPU machines, and this
-    property must exercise the threaded round executor everywhere.
+    flag combination -- all on, all off, the planner and index layers off
+    ("serial scan"), and the interpreted join with every other layer on --
+    under both fixpoint orders and all semantics, and requires identical
+    canonical fixpoints.
     """
 
     CONFIGS = (
         EngineOptions.all_on(),
         EngineOptions.all_off(),
-        EngineOptions(join_planner=False, index_probes=False, parallel=False),
-        EngineOptions(parallel_workers=3),
+        EngineOptions(join_planner=False, index_probes=False),
+        EngineOptions(compile_rules=False),
     )
 
     @staticmethod

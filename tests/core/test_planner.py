@@ -69,7 +69,7 @@ class TestPlannerInEngine:
         return db
 
     def test_replans_every_round_and_counts(self):
-        program = _program(self.RULES, index_probes=False, parallel=False)
+        program = _program(self.RULES, index_probes=False)
         _world, stats = self._run(program)
         # one plan per multi-atom rule firing per round
         assert stats.plans_built >= stats.iterations - 1
@@ -78,8 +78,8 @@ class TestPlannerInEngine:
     def test_delta_restriction_survives_reordering(self):
         # the recursive rule lists T first; whenever the planner moves E
         # ahead of the delta-bound T, the fixpoint must not change
-        planned = _program(self.RULES, parallel=False)
-        baseline = _program(self.RULES, join_planner=False, parallel=False)
+        planned = _program(self.RULES)
+        baseline = _program(self.RULES, join_planner=False)
         world_a, stats_a = self._run(planned)
         world_b, _stats_b = self._run(baseline)
         fp = lambda w: frozenset(t.atoms for t in w.relation("T"))

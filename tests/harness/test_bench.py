@@ -22,7 +22,6 @@ _TINY = {
     "boolean": 4,
     "econfig": 8,
     "ivm": [8],
-    "sharded": 8,
     # 32, not smaller: the --check gate's 5x floor vs the quadratic full
     # closure only clears with comfortable margin from this size up
     "magic": 32,
@@ -50,7 +49,6 @@ class TestBenchSuite:
             "all_off",
             "no_join_planner",
             "no_index_probes",
-            "no_parallel",
             "no_compile",
         }
         assert largest["speedup_compile"] > 0
@@ -63,10 +61,6 @@ class TestBenchSuite:
         assert cell["identical_fixpoints"] is True
         assert cell["maintained_s"] > 0 and cell["scratch_s"] > 0
         assert cell["ivm_derived_added"] == max(_TINY["ivm"]) + 1
-        sharded = records["sharded_stats[smoke]"]
-        assert sharded["identical_fixpoints"] is True
-        assert sharded["degraded"] is False
-        assert sharded["shard_rounds"] > 0
         magic = records["magic_stats[smoke]"]
         assert magic["identical_answers"] is True
         assert magic["warm_plan_hit"] is True
