@@ -15,9 +15,9 @@ leaf -- with the decisions baked in at lowering time:
 * the join order (the PR 5 greedy planner's, verbatim -- see
   :func:`plan_order`, shared with the interpreter so both paths enumerate
   candidates identically);
-* the access path per step (index probe against the
-  :class:`~repro.indexing.pool.JoinIndexPool` vs. renamed scan list), with
-  probe results memoized per relation content version;
+* the access path per step (probe of the relation's generalized 1-d
+  index, gated by :class:`~repro.indexing.pool.JoinIndexPool`, vs. renamed
+  scan list), with probe results memoized per relation content version;
 * the pinned-constant filter, when :class:`EngineOptions` enables it;
 * the delta-restriction slot of the semi-naive rounds;
 * theory-specific satisfiability/canonicalization fast paths: a candidate
@@ -83,11 +83,6 @@ GENERAL = 1  #: anything else -- the generic solver path handles it
 
 #: a classified join candidate: (renamed atoms, pin map, kind)
 EntryRecord = tuple[tuple[Atom, ...], dict[str, Any], int]
-
-#: sentinel distinguishing "handle not yet resolved" from "pool declined"
-#: (a declined resolution is cached as None so it is not retried per entry)
-_UNRESOLVED = object()
-
 
 # --------------------------------------------------------------------- planner
 def plan_order(
@@ -254,7 +249,6 @@ class _FiringState:
         "delta_lists",
         "scan_lists",
         "negated_dnfs",
-        "probe_handles",
     )
 
     def __init__(
@@ -273,10 +267,6 @@ class _FiringState:
         self.delta_lists = delta_lists  # per slot: list of delta tuples | None
         self.scan_lists: list[list[EntryRecord] | None] = [None] * len(relations)
         self.negated_dnfs = negated_dnfs
-        #: (slot, attribute position) -> resolved IndexProbeHandle | None,
-        #: so a join step pays the pool's dict lookup once per firing
-        #: instead of once per candidate entry
-        self.probe_handles: dict[tuple[int, int], Any] = {}
 
 
 # ------------------------------------------------------------- compiled rule
@@ -604,14 +594,9 @@ class CompiledRule:
                     stats.index_candidates += n_candidates
                     stats.index_scan_avoided += n_relation - n_candidates
                     return records
-                hkey = (slot, position)
-                handle = state.probe_handles.get(hkey, _UNRESOLVED)
-                if handle is _UNRESOLVED:
-                    handle = state.pool.handle(
-                        relation, relation.variables[position]
-                    )
-                    state.probe_handles[hkey] = handle
-                candidates = None if handle is None else handle.probe(low, high)
+                candidates = state.pool.probe(
+                    relation, relation.variables[position], low, high
+                )
                 if candidates is None:
                     if cprobe is not None:
                         cprobe[pkey] = (None, 0, 0)

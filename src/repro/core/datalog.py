@@ -149,8 +149,9 @@ class EngineOptions:
     #: the depth-first join, re-planned every round (delta/relation sizes
     #: change between rounds, so the best order does too)
     join_planner: bool = True
-    #: probe incrementally-maintained generalized 1-d indexes
-    #: (:class:`repro.indexing.pool.JoinIndexPool`) when the partial
+    #: probe the relations' generalized 1-d indexes
+    #: (:meth:`GeneralizedRelation.index`, gated by
+    #: :class:`repro.indexing.pool.JoinIndexPool`) when the partial
     #: conjunction pins or interval-bounds a join variable, instead of
     #: scanning the full renamed choice list
     index_probes: bool = True
@@ -405,8 +406,9 @@ class _EvalCaches:
     ``complement`` maps (relation name, args, content version) to the
     complement DNF, so unchanged relations are never recomplemented.
 
-    ``pool`` holds the evaluation's :class:`JoinIndexPool` (None when index
-    probing is off or the theory has no generalized index).
+    ``pool`` is the evaluation's :class:`JoinIndexPool` (None when index
+    probing is off or the theory has no generalized index).  The indexes
+    themselves live on the relations and outlast the evaluation.
 
     ``compiled`` is the evaluation's :class:`repro.core.compile.
     CompiledProgram` (None when ``compile_rules`` is off), fetched from the
@@ -588,6 +590,12 @@ class DatalogProgram:
         """Bottom-up evaluation to a fixpoint.
 
         Returns a database extended with the IDB relations, plus statistics.
+        The returned world shares the input's EDB relation objects (the
+        relations the rules only read; evaluation never writes them) and
+        holds copies of IDB-named input relations, so ``database`` itself
+        is never modified.  A caller that writes EDB relations of the
+        returned world writes the input's: copy the database first, as
+        :class:`repro.core.ivm.MaterializedView` does.
 
         ``semantics`` selects how negation is treated:
 
@@ -752,12 +760,21 @@ class DatalogProgram:
         return world, stats
 
     def _prepare(self, database: GeneralizedDatabase) -> GeneralizedDatabase:
-        # input materialization is free: the tuple budget meters tuples the
-        # evaluation derives, not the EDB copy (which also happens before
-        # the loops' fringe-interrupt handlers could return a sound stage)
-        with metered(None):
-            world = database.copy()
-        for name in sorted(self.idb_predicates()):
+        # EDB relations enter the world by reference -- evaluation only reads
+        # them, so the join indexes on them serve the next evaluation over
+        # the same database too.  IDB-named relations are copied because the
+        # fixpoint loops add to them.  The copy is free: the tuple budget
+        # meters tuples the evaluation derives, not input (the copy also
+        # happens before the loops' fringe-interrupt handlers could return
+        # a stage)
+        idbs = self.idb_predicates()
+        world = GeneralizedDatabase(database.theory)
+        for relation in database.relations():
+            if relation.name in idbs:
+                with metered(None):
+                    relation = relation.copy()
+            world.add_relation(relation)
+        for name in sorted(idbs):
             if name not in world:
                 arity = self.arities[name]
                 world.create_relation(name, tuple(f"_{i}" for i in range(arity)))

@@ -45,7 +45,7 @@ def mutually_recursive_groups(rules: Sequence[Rule]) -> list[set[str]]:
             if atom.name in idbs:
                 graph[rule.head.name].add(atom.name)
     # Tarjan SCC
-    index_counter = [0]
+    counter = [0]
     stack: list[str] = []
     lowlink: dict[str, int] = {}
     index: dict[str, int] = {}
@@ -53,8 +53,8 @@ def mutually_recursive_groups(rules: Sequence[Rule]) -> list[set[str]]:
     components: list[set[str]] = []
 
     def strongconnect(node: str) -> None:
-        index[node] = lowlink[node] = index_counter[0]
-        index_counter[0] += 1
+        index[node] = lowlink[node] = counter[0]
+        counter[0] += 1
         stack.append(node)
         on_stack[node] = True
         for succ in graph[node]:

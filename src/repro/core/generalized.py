@@ -15,12 +15,15 @@ fixpoint termination in the Datalog engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.constraints.base import ConstraintTheory
 from repro.errors import ArityError, UnknownRelationError
 from repro.logic.syntax import Atom, Formula, conjoin, disjoin
 from repro.runtime.budget import tick
+
+if TYPE_CHECKING:
+    from repro.indexing.generalized_index import GeneralizedIndex1D
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,9 @@ class GeneralizedRelation:
         #: negated rule body needs) can be cached per (name, version) and
         #: reused until the relation actually changes
         self.version = 0
-        #: monotone count of removal events (``discard``/``clear``).  The
-        #: suffix-cursor index maintenance in :mod:`repro.indexing.pool`
-        #: assumes relations only grow; a change in this counter tells the
-        #: pool the append-only assumption broke and the index must rebuild.
-        self.removals = 0
+        #: generalized 1-d indexes by attribute (Section 1.1(3)), created by
+        #: :meth:`index` and kept current by every add, discard and clear
+        self._indexes: dict[str, GeneralizedIndex1D] = {}
         for item in tuples:
             self.add(item)
 
@@ -137,6 +138,8 @@ class GeneralizedRelation:
         stored = GeneralizedTuple(self.variables, canonical)
         self._tuples[key] = stored
         self.version += 1
+        for index in self._indexes.values():
+            index.append(key, stored)
         # supervisor tick: one unit per generalized tuple actually admitted
         # (dropped/duplicate tuples are free)
         tick("tuple")
@@ -159,6 +162,8 @@ class GeneralizedRelation:
             return None
         self._tuples[key] = item
         self.version += 1
+        for index in self._indexes.values():
+            index.append(key, item)
         return item
 
     def lookup(self, key: frozenset[Atom]) -> GeneralizedTuple | None:
@@ -195,26 +200,42 @@ class GeneralizedRelation:
         canonical = self.theory.canonicalize(item.rename(self.variables).atoms)
         if canonical is None:
             return False
-        if self._tuples.pop(frozenset(canonical), None) is None:
-            return False
-        self.version += 1
-        self.removals += 1
-        return True
+        return self.discard_key(frozenset(canonical)) is not None
 
     def discard_key(self, key: frozenset[Atom]) -> GeneralizedTuple | None:
         """Remove by canonical key; returns the removed tuple if present."""
         removed = self._tuples.pop(key, None)
         if removed is not None:
             self.version += 1
-            self.removals += 1
+            for index in self._indexes.values():
+                index.remove(key)
         return removed
 
     def clear(self) -> None:
-        """Drop every tuple (a removal event: indexes over this relation rebuild)."""
+        """Drop every tuple (and every entry of this relation's indexes)."""
         if self._tuples:
             self._tuples.clear()
             self.version += 1
-            self.removals += 1
+            for index in self._indexes.values():
+                index.clear()
+
+    def index(self, attribute: str) -> GeneralizedIndex1D:
+        """The generalized 1-d index on ``attribute`` (Section 1.1(3)).
+
+        Created over the current content at the first call and owned by the
+        relation from then on, so it lives as long as this relation object:
+        admitted tuples are queued on it and a removal deletes one key.
+        Raises :class:`repro.errors.EvaluationError` for an unknown
+        attribute or a theory without interval projections.
+        """
+        found = self._indexes.get(attribute)
+        if found is None:
+            from repro.indexing.generalized_index import GeneralizedIndex1D
+
+            found = self._indexes.setdefault(
+                attribute, GeneralizedIndex1D(self, attribute)
+            )
+        return found
 
     # ------------------------------------------------------------- semantics
     def contains_point(self, assignment: Mapping[str, Any]) -> bool:

@@ -28,12 +28,13 @@ the change rather than the database:
   batch re-evaluates (and says so in ``ivm_recomputed_strata``).
 
 Everything fires through :meth:`repro.core.datalog.DatalogProgram.
-_execute_round` -- the same planner, index pool, budget ticks and compiled
-closures as from-scratch evaluation; the maintenance programs are ordinary
-:class:`DatalogProgram` instances cached in the process-wide plan cache,
-and the per-view ``_EvalCaches`` persist across maintenance steps so
-:class:`repro.indexing.pool.JoinIndexPool` probes stay warm (retraction
-triggers the pool's versioned rebuild).
+_execute_round` -- the same planner, join indexes, budget ticks and
+compiled closures as from-scratch evaluation; the maintenance programs are
+ordinary :class:`DatalogProgram` instances cached in the process-wide plan
+cache, and the per-view ``_EvalCaches`` persist across maintenance steps.
+The join indexes live on the view's relations and follow every delta
+(an insert queues one tuple, a retraction deletes one key), so they stay
+warm across steps and are never rebuilt.
 
 **Canonical-form equality.**  Both the maintained and the from-scratch path
 admit tuples through ``theory.canonicalize``, a deterministic function of
@@ -151,11 +152,12 @@ class MaterializedView:
     inflationary/non-stratifiable programs fall back to per-batch
     recomputation behind the same API.
 
-    The view owns its world (the registration evaluation copies the input
-    database); reads go through :meth:`relation`.  Deltas target EDB
-    relations only -- derived relations change exclusively through
-    maintenance.  Close the view (or use it as a context manager) to shut
-    down its persistent executor/caches.
+    The view owns its world: it copies the input database once, at
+    construction, because deltas write its EDB relations (evaluation
+    itself only reads them); reads go through :meth:`relation`.  Deltas
+    target EDB relations only -- derived relations change exclusively
+    through maintenance.  Close the view (or use it as a context manager)
+    to drop its persistent caches.
     """
 
     def __init__(
@@ -214,7 +216,9 @@ class MaterializedView:
         self._caches: _EvalCaches | None = None
         self._counts: dict[str, dict[Key, int]] = {}
         self.world: GeneralizedDatabase
-        self._materialize(database)
+        with metered(None):
+            owned = database.copy()
+        self._materialize(owned)
 
     # ------------------------------------------------------------- lifecycle
     def __enter__(self) -> "MaterializedView":
@@ -349,10 +353,10 @@ class MaterializedView:
         bound queries against this database: because the relation objects
         are shared, every maintained delta bumps their monotone ``version``
         counters in place, which is exactly the invalidation signal the
-        query-result reuse cache snapshots (:attr:`delta_version`).  Note a
-        :meth:`refresh` rebuilds ``self.world`` with *new* relation objects;
-        callers should re-request this database per query rather than hold
-        one across maintenance generations.
+        query-result reuse cache snapshots (:attr:`delta_version`), and the
+        join indexes built on them serve every later query.
+        :meth:`refresh` keeps the EDB relation objects (evaluation shares
+        them into the rebuilt world) and replaces only the derived ones.
         """
         return self._edb_database()
 
@@ -425,7 +429,7 @@ class MaterializedView:
         """(Re)build the per-view maintenance state against ``self.world``.
 
         The maintenance programs and strata are static (they depend only on
-        the rules), but the caches/pools/counts reference relation content,
+        the rules), but the caches and counts reference relation content,
         so a rematerialization rebuilds them.
         """
         if self._mworld is None:
@@ -475,20 +479,20 @@ class MaterializedView:
                 if key is not None:
                     counts = self._counts[pred]
                     counts[key] = counts.get(key, 0) + 1
-        self._warm_pool(scratch)
+        self._warm_indexes(scratch)
 
-    def _warm_pool(self, scratch: EvaluationStats) -> None:
+    def _warm_indexes(self, scratch: EvaluationStats) -> None:
         """Pre-build the join indexes the maintenance loops will probe.
 
         ``_semi_naive`` (DRed insertion/re-derivation) fires delta-at-
-        position tasks against the *live* relations; the pool builds each
-        (relation, projection) index lazily on first probe, which would
-        charge an O(|relation|) construction to the first delta.  Replaying
-        the same task shapes once here -- full live content standing in for
-        the delta, derivations discarded -- moves that cost into
-        registration, keeping ``apply`` delta-proportional from the first
-        call.  Suffix catch-up (and the retraction-versioned rebuild) keeps
-        the warmed indexes current afterwards.
+        position tasks against the *live* relations, which may probe an
+        attribute the registration fixpoint never probed; a relation
+        builds each index at its first probe, which would charge an
+        O(|relation|) construction to the first delta.  Replaying the same
+        task shapes once here -- full live content standing in for the
+        delta, derivations discarded -- moves that cost into registration,
+        keeping ``apply`` delta-proportional from the first call.  The
+        relations keep the warmed indexes current afterwards.
         """
         for stratum in self._strata:
             if stratum.recompute or not stratum.recursive:

@@ -665,9 +665,11 @@ def seed_world(
     relation empty, so the guarded cone (and hence the answer) is empty
     without evaluating anything.
 
-    The source relations are *shared*, not copied -- ``evaluate`` copies
-    its input database before deriving anything, so only the fresh seed
-    relation is ever created here and the source database is not mutated.
+    The source relations are *shared*, not copied -- ``evaluate`` never
+    writes the relations a program only reads and copies the ones it
+    derives, so only the fresh seed relation is ever created here, the
+    source database is not mutated, and the join indexes on its relations
+    serve every query over it.
     """
     world = GeneralizedDatabase(database.theory)
     for relation in database.relations():

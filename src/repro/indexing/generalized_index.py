@@ -12,10 +12,16 @@ one interval (the conjunction describes an order-convex set), computed here
 by the theory's quantifier elimination.  A naive baseline
 (:class:`NaiveGeneralizedSearch`) performs the paper's "trivial, but
 inefficient, solution": add the constraint to every tuple and scan.
+
+A :class:`GeneralizedRelation` owns the indexes the Datalog join probes
+(:meth:`GeneralizedRelation.index`) and keeps them current through its own
+deltas: :meth:`GeneralizedIndex1D.append` queues an admitted tuple, which is
+keyed at the next query; :meth:`GeneralizedIndex1D.remove` deletes one key.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 from repro.constraints.dense_order import DenseOrderTheory, OrderAtom, ge, le
@@ -77,7 +83,26 @@ def tuple_projection_interval(
 
 
 class GeneralizedIndex1D:
-    """An interval-tree-backed index over one attribute of a generalized relation."""
+    """An interval-tree-backed index over one attribute of a generalized relation.
+
+    The index is built over the relation's current content and holds no
+    reference back to the relation, so an index the relation owns never
+    keeps a discarded world alive past reference counting.  Tuples are
+    tracked by their canonical key (the relation's ``frozenset`` of atoms):
+    queued tuples wait in insertion order and are keyed at the next query,
+    and every keyed tuple remembers its interval, so a removal is one tree
+    deletion with no theory call.
+
+    The tree lists candidates by key and, within a key, in insertion order.
+    Removing a tuple and appending it again moves it to the end of its
+    bucket, exactly as the relation's dict moves it to the end of its order,
+    so a maintained index answers every query with the same ordered list as
+    one built fresh over the relation.
+
+    One lock covers draining the queue plus the tree query (and removals),
+    so the index may be probed from several threads; relation writes stay
+    single-writer.
+    """
 
     def __init__(self, relation: GeneralizedRelation, attribute: str) -> None:
         if attribute not in relation.variables:
@@ -91,28 +116,68 @@ class GeneralizedIndex1D:
                 "generalized 1-d indexing requires interval projections; "
                 "only the dense-order theory guarantees them here"
             )
-        self.relation = relation
         self.attribute = attribute
+        self.variables = relation.variables
         self.theory = relation.theory
+        self._lock = threading.Lock()
         self._tree = IntervalTree()
-        for item in relation:
-            self.insert(item)
+        #: canonical key -> the keyed tuple's interval in the tree
+        self._keys: dict[frozenset, Interval] = {}
+        #: canonical key -> tuple appended but not keyed yet (insertion order)
+        self._pending: dict[frozenset, GeneralizedTuple] = dict(relation.entries())
+        self._drain()
 
     def __len__(self) -> int:
-        return len(self._tree)
+        """Tuples indexed or queued for indexing."""
+        return len(self._keys) + len(self._pending)
 
     # ----------------------------------------------------------------- update
+    def append(self, key: frozenset, item: GeneralizedTuple) -> None:
+        """Queue a tuple stored under canonical ``key``; keyed at the next query."""
+        self._pending[key] = item
+
+    def remove(self, key: frozenset) -> bool:
+        """Drop the tuple stored under ``key``: one tree deletion, no rebuild."""
+        with self._lock:
+            if self._pending.pop(key, None) is not None:
+                return True
+            interval = self._keys.pop(key, None)
+            if interval is None:
+                return False
+            return self._tree.remove(interval)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tree = IntervalTree()
+            self._keys.clear()
+            self._pending.clear()
+
     def insert(self, item: GeneralizedTuple) -> None:
-        """Insert a generalized tuple: compute its key interval, index it."""
-        key = tuple_projection_interval(item, self.attribute, self.theory)
-        if key is not None:
-            self._tree.insert(key)
+        """Insert a generalized tuple (keyed by its atom set)."""
+        self.append(frozenset(item.atoms), item)
 
     def delete(self, item: GeneralizedTuple) -> bool:
-        key = tuple_projection_interval(item, self.attribute, self.theory)
-        if key is None:
-            return False
-        return self._tree.remove(key)
+        return self.remove(frozenset(item.atoms))
+
+    def _drain(self) -> None:
+        """Key the queued tuples and index them, in insertion order.
+
+        Every key is computed before the queue or the tree changes: a theory
+        call that raises leaves the index as it was, still in agreement with
+        its relation, and the next query retries.  Callers hold the lock
+        (the constructor holds the only reference instead).
+        """
+        if not self._pending:
+            return
+        keyed = [
+            (key, tuple_projection_interval(item, self.attribute, self.theory))
+            for key, item in self._pending.items()
+        ]
+        self._pending.clear()
+        for key, interval in keyed:
+            if interval is not None:
+                self._tree.insert(interval)
+                self._keys[key] = interval
 
     # ----------------------------------------------------------------- search
     def search(
@@ -126,30 +191,26 @@ class GeneralizedIndex1D:
         Only the tuples whose key intervals intersect the query range are
         touched; the range constraint is conjoined to each.
         """
-        query = Interval(
-            Fraction(low) if low is not None else None,
-            Fraction(high) if high is not None else None,
-        )
-        result = GeneralizedRelation(
-            name, self.relation.variables, self.theory
-        )
+        result = GeneralizedRelation(name, self.variables, self.theory)
         range_atoms = []
         if low is not None:
             range_atoms.append(ge(self.attribute, Fraction(low)))
         if high is not None:
             range_atoms.append(le(self.attribute, Fraction(high)))
-        for hit in self._tree.overlapping(query):
-            item: GeneralizedTuple = hit.payload
+        for item in self.candidates(low, high):
             result.add_tuple(tuple(item.atoms) + tuple(range_atoms))
         return result
 
     def candidates(self, low, high) -> list[GeneralizedTuple]:
-        """The matching tuples only (no constraint rewrite) -- for benchmarks."""
+        """The tuples whose keys meet [low, high] (no constraint rewrite),
+        by key and then insertion order."""
         query = Interval(
             Fraction(low) if low is not None else None,
             Fraction(high) if high is not None else None,
         )
-        return [hit.payload for hit in self._tree.overlapping(query)]
+        with self._lock:
+            self._drain()
+            return [hit.payload for hit in self._tree.overlapping(query)]
 
 
 class NaiveGeneralizedSearch:

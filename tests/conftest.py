@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.conformance.generators import SEED_ENV_VAR, resolve_seed
+from repro.indexing.generalized_index import GeneralizedIndex1D
 
 settings.register_profile(
     "ci",
@@ -36,6 +37,20 @@ settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
 def base_seed() -> int:
     """The run's base seed (REPRO_SEED when set, else 0)."""
     return resolve_seed(0)
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """(relation name, attribute) of every GeneralizedIndex1D constructed."""
+    seen: list[tuple[str, str]] = []
+    original = GeneralizedIndex1D.__init__
+
+    def counting(self, relation, attribute):
+        seen.append((relation.name, attribute))
+        original(self, relation, attribute)
+
+    monkeypatch.setattr(GeneralizedIndex1D, "__init__", counting)
+    return seen
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -1,11 +1,13 @@
-"""JoinIndexPool: lazy build, incremental catch-up, probe soundness."""
+"""JoinIndexPool over relation-owned indexes: lazy build, appends, soundness."""
 
 from fractions import Fraction
 
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
-from repro.core.generalized import GeneralizedDatabase, GeneralizedRelation
+from repro.core.datalog import DatalogProgram, EngineOptions
+from repro.core.generalized import GeneralizedDatabase
 from repro.indexing.pool import JoinIndexPool
+from repro.logic.parser import parse_rules
 
 theory = DenseOrderTheory()
 
@@ -72,45 +74,63 @@ class TestProbeSoundness:
 
 
 class TestIncrementalMaintenance:
-    def test_index_catches_up_as_relation_grows(self):
+    def test_index_catches_up_as_relation_grows(self, index_builds):
         relation = _relation([(0, 1), (1, 2)])
         pool = JoinIndexPool(theory)
         assert pool.probe(relation, "x", Fraction(5), Fraction(5)) == []
+        index = relation.index("x")
         # grow the relation (fixpoint rounds only ever add)
         relation.add_point([Fraction(5), Fraction(6)])
         relation.add_point([Fraction(7), Fraction(8)])
+        assert len(index) == len(relation) == 4  # appends queued on it
         hits = pool.probe(relation, "x", Fraction(5), Fraction(5))
         assert hits is not None and len(hits) == 1
-        # the pool reused the same index rather than rebuilding
-        assert pool.index_count() == 1
+        # the relation's one index followed the appends, never rebuilt
+        assert relation.index("x") is index
+        assert index_builds == [("E", "x")]
 
-    def test_one_index_per_relation_attribute_pair(self):
+    def test_one_index_per_relation_attribute_pair(self, index_builds):
         relation = _relation([(0, 1)])
         pool = JoinIndexPool(theory)
         pool.probe(relation, "x", Fraction(0), None)
         pool.probe(relation, "y", Fraction(1), None)
         pool.probe(relation, "x", None, Fraction(3))
-        assert pool.index_count() == 2
+        assert index_builds == [("E", "x"), ("E", "y")]
+        assert relation.index("x") is not relation.index("y")
 
     def test_counters_accumulate(self):
-        relation = _relation([(i, i + 1) for i in range(8)])
-        pool = JoinIndexPool(theory)
-        pool.probe(relation, "x", Fraction(1), Fraction(1))
-        pool.probe(relation, "x", Fraction(2), Fraction(2))
-        assert pool.probes == 2
-        assert pool.candidates >= 2
-        assert pool.scan_avoided > 0
+        # probe counters live in EvaluationStats, identical on both join paths
+        rules = parse_rules(
+            """
+            T(x, y) :- E(x, y).
+            T(x, y) :- T(x, z), E(z, y).
+            """,
+            theory=theory,
+        )
+        counts = []
+        for compile_rules in (True, False):
+            db = GeneralizedDatabase(theory)
+            db.add_relation(_relation([(i, i + 1) for i in range(8)]))
+            options = EngineOptions(compile_rules=compile_rules)
+            _, stats = DatalogProgram(rules, theory, options=options).evaluate(db)
+            assert stats.index_probes >= 2
+            assert stats.index_candidates >= 2
+            assert stats.index_scan_avoided > 0
+            counts.append(
+                (stats.index_probes, stats.index_candidates, stats.index_scan_avoided)
+            )
+        assert counts[0] == counts[1]
 
 
 class TestProbeHandles:
-    """Pre-resolved handles: same answers and counters as direct probes."""
+    """A handle is the relation's own index: same answers as direct probes."""
 
     def test_handle_matches_direct_probe(self):
         relation = _relation([(i, i + 1) for i in range(10)])
         pool = JoinIndexPool(theory)
         handle = pool.handle(relation, "x")
         assert handle is not None
-        assert handle.probe(Fraction(4), Fraction(4)) == pool.probe(
+        assert handle.candidates(Fraction(4), Fraction(4)) == pool.probe(
             relation, "x", Fraction(4), Fraction(4)
         )
 
@@ -119,24 +139,26 @@ class TestProbeHandles:
         assert JoinIndexPool(EqualityTheory()).handle(relation, "x") is None
         assert JoinIndexPool(theory).handle(relation, "zzz") is None
         handle = JoinIndexPool(theory).handle(relation, "x")
-        assert handle.probe(None, None) is None
+        assert JoinIndexPool(theory).probe(relation, "x", None, None) is None
+        assert handle.candidates(None, None) == relation.tuples()
 
-    def test_handle_shares_index_and_counters(self):
+    def test_handle_shares_index_and_counters(self, index_builds):
         relation = _relation([(i, i + 1) for i in range(6)])
         pool = JoinIndexPool(theory)
         handle = pool.handle(relation, "x")
-        handle.probe(Fraction(2), Fraction(2))
-        assert pool.index_count() == 1  # no second index behind the handle
-        assert pool.probes == 1 and pool.candidates >= 1
-        # and the direct path reuses the handle's index entry
-        pool.probe(relation, "x", Fraction(3), Fraction(3))
-        assert pool.index_count() == 1
-        assert pool.probes == 2
+        assert handle is relation.index("x")  # no second index behind it
+        assert len(handle.candidates(Fraction(2), Fraction(2))) == 1
+        # a second pool (the next evaluation) reaches the same index
+        assert JoinIndexPool(theory).handle(relation, "x") is handle
+        assert pool.probe(relation, "x", Fraction(3), Fraction(3)) == (
+            handle.candidates(Fraction(3), Fraction(3))
+        )
+        assert index_builds == [("E", "x")]
 
     def test_handle_sees_incremental_growth(self):
         relation = _relation([(0, 1)])
         pool = JoinIndexPool(theory)
         handle = pool.handle(relation, "x")
-        assert handle.probe(Fraction(7), Fraction(7)) == []
+        assert handle.candidates(Fraction(7), Fraction(7)) == []
         relation.add_point([Fraction(7), Fraction(8)])
-        assert len(handle.probe(Fraction(7), Fraction(7))) == 1
+        assert len(handle.candidates(Fraction(7), Fraction(7))) == 1

@@ -1,11 +1,11 @@
-"""Regression: retraction must invalidate suffix-cursor index entries.
+"""Regression: retraction must reach the relation-owned join indexes.
 
-The pool's incremental catch-up assumes relations only grow.  Before the
-versioned-rebuild path, a ``discard`` left the removed tuple in the index
-(a stale candidate that is satisfiable with the probe bound but no longer
-in the relation) and left the cursor pointing past the end, so later
-appends could be missed too.  Incremental view maintenance retracts all
-the time, so both failure modes get locked down here.
+An index that missed a ``discard`` would keep the removed tuple (a stale
+candidate that is satisfiable with the probe bound but no longer in the
+relation), and one that lost track of its queue could miss later appends.
+Incremental view maintenance retracts all the time, so both failure modes
+get locked down here, together with the way a removal is applied: one key
+out of the same index object, never a rebuild.
 """
 
 from fractions import Fraction
@@ -39,14 +39,17 @@ class TestRetractInvalidation:
         pool = JoinIndexPool(theory)
         hits = pool.probe(relation, "x", Fraction(3), Fraction(3))
         assert hits is not None and len(hits) == 1
+        index = relation.index("x")
         assert relation.discard(_point(relation, 3, 4))
+        # one key deleted from the same index object: no rebuild
+        assert relation.index("x") is index
+        assert len(index) == len(relation) == 5
         hits = pool.probe(relation, "x", Fraction(3), Fraction(3))
-        assert hits == []  # the stale entry is gone after the rebuild
-        assert pool.rebuilds == 1
+        assert hits == []  # the stale entry is gone
 
     def test_append_after_retract_is_indexed(self):
-        # cursor == 3 > len == 2 after a discard: the suffix scheme would
-        # never index the re-appended tuple
+        # the relation shrank before growing again: an index that tracked
+        # appends by position would skip the new tuple
         relation = _relation([(0, 1), (1, 2), (2, 3)])
         pool = JoinIndexPool(theory)
         assert len(pool.probe(relation, "x", Fraction(2), Fraction(2))) == 1
@@ -67,14 +70,14 @@ class TestRetractInvalidation:
         hits = pool.probe(relation, "x", Fraction(1), Fraction(1))
         assert hits is not None and len(hits) == 1
 
-    def test_insert_only_path_never_rebuilds(self):
+    def test_insert_only_path_never_rebuilds(self, index_builds):
         relation = _relation([(0, 1)])
         pool = JoinIndexPool(theory)
         for i in range(1, 8):
             pool.probe(relation, "x", Fraction(i - 1), Fraction(i - 1))
             relation.add_point([Fraction(i), Fraction(i + 1)])
-        assert pool.rebuilds == 0
-        assert pool.index_count() == 1
+        assert index_builds == [("E", "x")]
+        assert len(relation.index("x")) == len(relation) == 8
 
     def test_clear_invalidates(self):
         relation = _relation([(i, i + 1) for i in range(5)])
@@ -91,20 +94,21 @@ class TestHandleRetractInvalidation:
         relation = _relation([(i, i + 1) for i in range(6)])
         pool = JoinIndexPool(theory)
         handle = pool.handle(relation, "x")
-        assert len(handle.probe(Fraction(4), Fraction(4))) == 1
+        assert len(handle.candidates(Fraction(4), Fraction(4))) == 1
         assert relation.discard(_point(relation, 4, 5))
-        assert handle.probe(Fraction(4), Fraction(4)) == []
-        assert pool.rebuilds == 1
+        assert len(handle) == len(relation) == 5
+        assert handle.candidates(Fraction(4), Fraction(4)) == []
 
-    def test_handle_and_direct_probe_share_rebuild(self):
+    def test_handle_and_direct_probe_share_rebuild(self, index_builds):
         relation = _relation([(i, i + 1) for i in range(4)])
         pool = JoinIndexPool(theory)
         handle = pool.handle(relation, "x")
-        handle.probe(Fraction(0), Fraction(3))
+        handle.candidates(Fraction(0), Fraction(3))
         assert relation.discard(_point(relation, 0, 1))
-        # the direct path rebuilds the shared entry ...
+        # the direct path and the handle see the one shared index ...
         assert pool.probe(relation, "x", Fraction(0), Fraction(0)) == []
-        assert pool.rebuilds == 1
-        # ... and the handle sees the rebuilt index without a second rebuild
-        assert handle.probe(Fraction(0), Fraction(0)) == []
-        assert pool.rebuilds == 1
+        assert handle.candidates(Fraction(0), Fraction(0)) == []
+        assert pool.handle(relation, "x") is handle
+        # ... which lost one key and was never rebuilt
+        assert len(handle) == len(relation) == 3
+        assert index_builds == [("E", "x")]
