@@ -45,12 +45,22 @@ from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
 from repro.constraints.real_poly import RealPolynomialTheory
 from repro.core.calculus import evaluate_calculus
-from repro.core.datalog import DatalogProgram, EngineOptions, Rule
+from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats, Rule
 from repro.core.generalized import GeneralizedDatabase
 from repro.errors import ReproError
 from repro.logic.parser import parse_query, parse_rules
 from repro.logic.syntax import And, Atom, Formula
 from repro.runtime.budget import Budget, parse_budget_spec, supervised
+
+
+def _partial_reason(stats: EvaluationStats) -> str:
+    """Why a budget-tripped ``.run`` or ``.query`` printed a partial answer."""
+    exhausted = (stats.budget or {}).get("budget_kind", "budget")
+    return (
+        f"{exhausted} budget exhausted after {stats.iterations} iterations; "
+        "sound under-approximation"
+    )
+
 
 THEORIES: dict[str, Callable[[], object]] = {
     "dense_order": DenseOrderTheory,
@@ -390,6 +400,8 @@ class Shell:
             line += " [full evaluation for negation strata: " + ", ".join(
                 result.fallback_predicates
             ) + "]"
+        if result.stats.incomplete:
+            line += f" PARTIAL ({_partial_reason(result.stats)})"
         self.write(line)
         return True
 
@@ -412,11 +424,7 @@ class Shell:
         self.db = world
         status = f"fixpoint in {stats.iterations} iterations"
         if stats.incomplete:
-            exhausted = (stats.budget or {}).get("budget_kind", "budget")
-            status = (
-                f"PARTIAL fixpoint ({exhausted} budget exhausted after "
-                f"{stats.iterations} iterations; sound under-approximation)"
-            )
+            status = f"PARTIAL fixpoint ({_partial_reason(stats)})"
         self.write(f"{status}, {stats.tuples_added} tuples added")
         for name in sorted(program.idb_predicates()):
             self.write(str(world.relation(name)))

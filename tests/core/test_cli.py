@@ -317,6 +317,26 @@ class TestMagicQueryRouting:
         ])
         assert "3 answer(s) [T^bf" in output
 
+    def test_budget_fringe_answer_is_tagged(self):
+        output = run([
+            ".relation E(x, y)",
+            *(f".point E: {i}, {i + 1}" for i in range(5)),
+            ".rule T(x, y) :- E(x, y).",
+            ".rule T(x, y) :- T(x, z), E(z, y).",
+            ".budget rounds=2 fringe",
+            ".query T(0, y)",
+            ".budget off",
+            ".query T(0, y)",
+        ])
+        partial, full = [
+            line for line in output.splitlines() if "answer(s)" in line
+        ]
+        assert "2 answer(s) [T^bf" in partial
+        assert "PARTIAL (rounds budget exhausted" in partial
+        assert "sound under-approximation" in partial
+        assert "5 answer(s) [T^bf" in full
+        assert "PARTIAL" not in full
+
     def test_help_documents_goal_routing(self):
         output = run([".help"])
         assert "demand-driven (magic sets)" in output

@@ -3,8 +3,10 @@
 Covers the :class:`Engine` facade (goal parsing through answer selection),
 the containment-based result-reuse cache with its version-snapshot
 invalidation (including maintained IVM deltas through shared relations),
-plan warmth for repeated adornment shapes, the full-fixpoint oracle path
-(``EngineOptions.magic`` off), and the ``python -m repro query`` CLI.
+its per-slot hull prefilter, its per-semantics entries and its refusal to
+store budget-fringe answers, plan warmth for repeated adornment shapes,
+the full-fixpoint oracle path (``EngineOptions.magic`` off), and the
+``python -m repro query`` CLI.
 """
 
 import json
@@ -12,14 +14,19 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.constraints.dense_order import DenseOrderTheory
+import repro.analysis.semantic as semantic
+from repro.constraints.dense_order import DenseOrderTheory, le, lt
+from repro.constraints.equality import EqualityTheory
 from repro.core.datalog import DatalogProgram, EngineOptions
-from repro.core.generalized import GeneralizedDatabase
-from repro.core.magic import select_answers
-from repro.core.query import Engine, main as query_main
+from repro.core.generalized import GeneralizedDatabase, GeneralizedRelation
+from repro.core.magic import _slot, parse_goal, select_answers
+from repro.core.query import Engine, QueryCache, main as query_main
 from repro.errors import EvaluationError
+from repro.indexing.interval import Interval
 from repro.logic.parser import parse_rules
+from repro.runtime.budget import Budget, supervised
 from repro.workloads.orders import chain_edges
 
 order = DenseOrderTheory()
@@ -151,6 +158,223 @@ class TestReuseCache:
         second = engine.query("T(0, y)")
         assert not second.reused
         assert engine.cache.stats()["entries"] == 0
+
+
+NEGATION_RULES = """
+T(x, y) :- E(x, y).
+T(x, z) :- E(x, y), T(y, z).
+U(x, y) :- V(x), V(y), not T(x, y).
+"""
+
+
+class TestCacheEntryScope:
+    @pytest.mark.parametrize(
+        "first, second",
+        [("stratified", "inflationary"), ("inflationary", "stratified")],
+    )
+    def test_entries_match_only_their_semantics(self, first, second):
+        # E is the chain 0 -> 1 -> 2 -> 3 and V = {0..4}: U(0, y) has the 2
+        # non-successors of 0 when stratified, and all 5 vertices under
+        # inflationary semantics (T is still empty when U first fires)
+        expected = {"stratified": 2, "inflationary": 5}
+        database = chain_edges(3)
+        vertices = database.create_relation("V", ("x",))
+        for value in range(5):
+            vertices.add_point([value])
+        rules = parse_rules(NEGATION_RULES, theory=order)
+        engine = Engine(rules, order, database=database)
+        assert len(engine.query("U(0, y)", semantics=first)) == expected[first]
+        result = engine.query("U(0, y)", semantics=second)
+        assert not result.reused
+        assert len(result) == expected[second]
+        again = engine.query("U(0, y)", semantics=second)
+        assert again.reused
+        assert len(again) == expected[second]
+
+    def test_budget_fringe_answer_is_not_stored(self):
+        engine = tc_engine(12)
+        with supervised(Budget(rounds=2, partial_results="fringe")):
+            partial = engine.query("T(0, y)")
+        assert partial.stats.incomplete
+        assert len(partial) == 2
+        assert engine.cache.stats()["entries"] == 0
+        full = engine.query("T(0, y)")
+        assert not full.reused
+        assert not full.stats.incomplete
+        assert len(full) == 12
+        assert engine.query("T(0, y)").reused
+
+
+@pytest.fixture
+def containment_checks(monkeypatch):
+    """Arguments of every query_contained_in call a cache lookup makes."""
+    calls = []
+    original = semantic.query_contained_in
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semantic, "query_contained_in", counting)
+    return calls
+
+
+def equality_tc_engine(n):
+    theory = EqualityTheory()
+    database = GeneralizedDatabase(theory)
+    edge = database.create_relation("E", ("x", "y"))
+    for i in range(n):
+        edge.add_point([i, i + 1])
+    rules = parse_rules(TC_RULES, theory=theory)
+    return Engine(rules, theory, database=database)
+
+
+class TestHullPrefilter:
+    def fill_with_points(self, engine):
+        for k in range(64):
+            engine.query(f"T({k}, y)")
+        assert engine.cache.stats()["entries"] == 64
+
+    def test_point_miss_skips_every_disjoint_entry(self, containment_checks):
+        engine = tc_engine(4)
+        self.fill_with_points(engine)
+        containment_checks.clear()
+        result = engine.query("T(64, y)")
+        assert not result.reused
+        assert containment_checks == []
+
+    def test_theory_without_bounds_scans_every_entry(self, containment_checks):
+        engine = equality_tc_engine(4)
+        self.fill_with_points(engine)
+        containment_checks.clear()
+        result = engine.query("T(64, y)")
+        assert not result.reused
+        assert len(containment_checks) == 64
+
+    def test_container_behind_disjoint_entries_still_serves(
+        self, containment_checks
+    ):
+        engine = tc_engine()
+        for k in (0, 1, 7):
+            engine.query(f"T({k}, y)")
+        engine.query("T(x, y), 2 < x, x < 6")
+        engine.query("T(8, y)")
+        containment_checks.clear()
+        narrow = engine.query("T(x, y), 3 < x, x < 5")
+        assert narrow.reused
+        # only the container's hull meets [3, 5] on slot 0
+        assert len(containment_checks) == 1
+        oracle = tc_engine(magic=False).query("T(x, y), 3 < x, x < 5")
+        assert keys(narrow.relation) == keys(oracle.relation)
+
+
+# ------------------------------------------- the prefilter against a full scan
+CONSTANTS = st.integers(0, 4)
+
+
+def slot_atoms(var):
+    """Points, punctures, rays and open/closed intervals on one slot; the
+    small constant range makes endpoints touch often."""
+    low = st.tuples(CONSTANTS, st.sampled_from(["<", "<="])).map(
+        lambda t: [f"{t[0]} {t[1]} {var}"]
+    )
+    high = st.tuples(st.sampled_from(["<", "<="]), CONSTANTS).map(
+        lambda t: [f"{var} {t[0]} {t[1]}"]
+    )
+    return st.one_of(
+        st.just([]),
+        CONSTANTS.map(lambda c: [f"{var} = {c}"]),
+        CONSTANTS.map(lambda c: [f"{var} != {c}"]),
+        low,
+        high,
+        st.tuples(low, high).map(lambda t: t[0] + t[1]),
+        st.tuples(low, high, CONSTANTS).map(
+            lambda t: t[0] + t[1] + [f"{var} != {t[2]}"]
+        ),
+    )
+
+
+@st.composite
+def region_goals(draw, arity):
+    variables = ("x", "y")[:arity]
+    atoms = [atom for var in variables for atom in draw(slot_atoms(var))]
+    if arity == 2:
+        atoms += draw(
+            st.sampled_from([[], ["x < y"], ["x <= y"], ["x = y"], ["y < x"]])
+        )
+    return ", ".join([f"T({', '.join(variables)})", *atoms])
+
+
+def base_answers(arity):
+    """A fixed answer relation the stored regions select from."""
+    variables = ("a", "b")[:arity]
+    relation = GeneralizedRelation("T", variables, order)
+    for value in range(5):
+        relation.add_point([value] * arity)
+    first = variables[0]
+    relation.add_tuple([lt(0, first), lt(first, 1)])
+    relation.add_tuple([le(2, first), le(first, 4)])
+    relation.add_tuple([lt(3, first)] + [lt(first, v) for v in variables[1:]])
+    return relation
+
+
+def full_scan(stored, goal):
+    """The lookup without a prefilter: exact key, then every entry in order."""
+    slots = tuple(_slot(i) for i in range(goal.arity))
+    selection = goal.selection_atoms(slots, order)
+    canonical = order.canonicalize(selection)
+    if canonical is None:
+        return None
+    for _, key, relation in stored:
+        if key == frozenset(canonical):
+            return keys(relation)
+    for container, _, relation in stored:
+        if semantic.query_contained_in(selection, container, slots, order) is not None:
+            return keys(select_answers(relation, goal, order))
+    return None
+
+
+@given(
+    data=st.data(),
+    arity=st.sampled_from([1, 2]),
+)
+def test_prefilter_matches_full_scan(data, arity):
+    stored_goals = data.draw(st.lists(region_goals(arity), min_size=1, max_size=10))
+    looked_up = data.draw(st.lists(region_goals(arity), min_size=1, max_size=6))
+    base = base_answers(arity)
+    database = GeneralizedDatabase(order)
+    cache = QueryCache()
+    slots = tuple(_slot(i) for i in range(arity))
+    stored = []
+    for text in stored_goals:
+        query = parse_goal(text, order)
+        relation = select_answers(base, query, order)
+        cache.store(query, database, order, relation, query.adornment, "auto")
+        selection = query.selection_atoms(slots, order)
+        canonical = order.canonicalize(selection)
+        if canonical is not None:
+            stored.append((selection, frozenset(canonical), relation))
+    hits = misses = 0
+    for text in looked_up:
+        goal = parse_goal(text, order)
+        expected = full_scan(stored, goal)
+        found = cache.lookup(goal, database, order, "auto")
+        assert (None if found is None else keys(found)) == expected, text
+        hits += expected is not None
+        misses += expected is None
+        # every entry the prefilter would skip is one the check rejects
+        selection = goal.selection_atoms(slots, order)
+        if order.canonicalize(selection) is None:
+            continue
+        hull = QueryCache._hull(selection, arity, order)
+        for container, _, _ in stored:
+            entry_hull = QueryCache._hull(container, arity, order)
+            if not all(map(Interval.overlaps, hull, entry_hull)):
+                witness = semantic.query_contained_in(
+                    selection, container, slots, order
+                )
+                assert witness is None, (text, container)
+    assert (cache.hits, cache.misses, cache.invalidations) == (hits, misses, 0)
 
 
 class TestViewQueries:
