@@ -15,6 +15,10 @@ Registered adapters (per applicable kind/theory):
   project/complement), *not* sharing the calculus evaluator's NNF pass;
 * ``rconfig`` / ``econfig`` -- the paper-verbatim EVAL-phi procedures
   (dense order / equality only);
+* ``datalog[reference]`` -- the flag-free reference evaluator
+  (:func:`repro.conformance.reference.reference_fixpoint`), which shares no
+  join code with the engine: the first Datalog route, so every engine route
+  is compared against it;
 * ``datalog[...]`` -- the semi-naive engine under ``EngineOptions.all_on``,
   ``all_off``, and each single-flag-off ablation, plus a naive-order run;
 * ``boole_lemma`` -- the Section 5.2 boolean Datalog engine (Theorem 5.6),
@@ -44,6 +48,7 @@ from repro.conformance.spec import (
     decode_atom,
 )
 from repro.conformance.oracles import compare_relations
+from repro.conformance.reference import reference_fixpoint
 from repro.conformance.updates import IncrementalMismatchError, update_sequence
 from repro.constraints.boolean import BooleanConstraintAtom, BooleanTheory
 from repro.constraints.real_poly import PolyAtom
@@ -102,9 +107,6 @@ ABLATION_GRID: tuple[tuple[str, EngineOptions], ...] = (
             index_probes=False,
         ),
     ),
-    # compiled vs interpreted differential pair: compiled_off is the
-    # interpreted oracle with every other layer live, checked against all_on
-    ("compiled_off", replace(EngineOptions.all_on(), compile_rules=False)),
     # the semantic-optimizer differential pair: semantic_off is the
     # unrewritten oracle (the auto-generated no_optimize_semantic ablation
     # under its acceptance-criterion name) -- any fixpoint difference against
@@ -129,14 +131,15 @@ def strategies_for(spec: CaseSpec) -> list[Strategy]:
             routes.append(Strategy("econfig", _run_econfig))
         return routes
     if spec.kind == "datalog":
-        routes = [
+        routes = [Strategy("datalog[reference]", _run_reference)]
+        routes.extend(
             Strategy(
                 f"datalog[{label}]",
                 _datalog_runner(options, semi_naive=True),
                 options=options,
             )
             for label, options in ABLATION_GRID
-        ]
+        )
         routes.append(
             Strategy(
                 "datalog[naive]",
@@ -269,6 +272,23 @@ def _pad(
 
 
 # ----------------------------------------------------------------- datalog
+def _target_relation(
+    world: GeneralizedDatabase, spec: CaseSpec, case: BuiltCase
+) -> GeneralizedRelation:
+    result = GeneralizedRelation("result", case.output, case.theory)
+    for item in world.relation(spec.target):
+        result.add(item)
+    return result
+
+
+def _run_reference(spec: CaseSpec) -> GeneralizedRelation:
+    case = build_case(spec)
+    world = reference_fixpoint(
+        case.rules, case.theory, case.database, semantics=spec.semantics
+    )
+    return _target_relation(world, spec, case)
+
+
 def _datalog_runner(
     options: EngineOptions, semi_naive: bool
 ) -> Callable[[CaseSpec], GeneralizedRelation]:
@@ -278,11 +298,7 @@ def _datalog_runner(
         world, _stats = program.evaluate(
             case.database, semi_naive=semi_naive, semantics=spec.semantics
         )
-        derived = world.relation(spec.target)
-        result = GeneralizedRelation("result", case.output, case.theory)
-        for item in derived:
-            result.add(item)
-        return result
+        return _target_relation(world, spec, case)
 
     return run
 

@@ -1,20 +1,22 @@
 """Rule compilation: planned rules lowered to specialized closures.
 
-The PR 5 engine *interprets* each planned rule: every join level re-decides,
-per candidate tuple, which access path to use, whether the pin filter
-applies, and which generic :class:`~repro.constraints.base.ConstraintTheory`
-entry points to call.  That per-tuple dispatch is pure overhead for the
+This is the engine's rule join -- the one implementation of the paper's
+rule firing (Section 1.2; Theorems 3.14.2 / 4.11.2): conjoin the body
+tuples' constraints, test satisfiability, eliminate the body-only
+variables, canonicalize.  A generic join would re-decide, per candidate
+tuple, which access path to use, whether the pin filter applies, and
+which generic :class:`~repro.constraints.base.ConstraintTheory` entry
+points to call.  That per-tuple dispatch is pure overhead for the
 workloads the paper's closed-form results describe (Section 1.3: fixed
-programs evaluate in PTIME data complexity, so the per-tuple work should be
-a constant decided once per rule, not re-derived per tuple).
+programs evaluate in PTIME data complexity, so the per-tuple work should
+be a constant decided once per rule, not re-derived per tuple).
 
 This module lowers each (rule, delta slot, join order) triple into a chain
 of specialized Python closures -- one step per positive body atom plus a
 leaf -- with the decisions baked in at lowering time:
 
-* the join order (the PR 5 greedy planner's, verbatim -- see
-  :func:`plan_order`, shared with the interpreter so both paths enumerate
-  candidates identically);
+* the join order (the greedy selectivity planner -- see
+  :func:`plan_order` -- re-run per rule and round);
 * the access path per step (probe of the relation's generalized 1-d
   index, gated by :class:`~repro.indexing.pool.JoinIndexPool`, vs. renamed
   scan list), with probe results memoized per relation content version;
@@ -27,14 +29,13 @@ leaf -- with the decisions baked in at lowering time:
   of a solver call, and a completed all-pins match emits the head tuple
   directly instead of running quantifier elimination.
 
-**Equivalence contract.**  The compiled path must produce fixpoints
-element-for-element identical to the interpreter, and must consume the
-execution supervisor's budget at identical tick counts.  Both follow from
-one invariant: the compiled chain enumerates exactly the same candidate
-entries in the same order as the interpreted join (same plan, same probe
-decisions, same scan lists) and derives the same conjunctions -- the fast
-paths only replace *how* a decision is computed, never *which* candidates
-are visited:
+**Correctness contract.**  Every fixpoint equals the one
+:func:`repro.conformance.reference.reference_fixpoint` computes -- a
+flag-free, cache-free evaluator that shares no join code with this
+module -- under every ``EngineOptions`` combination and semantics; the
+conformance harness and the engine-vs-reference property tests check it.
+The fast paths only replace *how* a decision is computed, never *which*
+candidates are visited:
 
 * a conjunction of consistent ``var = const`` pins over the dense-order or
   equality theory is satisfiable iff no variable is pinned to two distinct
@@ -90,13 +91,16 @@ def plan_order(
     sizes: Sequence[int],
     pinned: set[str],
 ) -> list[int]:
-    """The PR 5 greedy selectivity order, shared by both evaluation paths.
+    """The greedy selectivity order over a rule's positive atoms.
 
-    Descending connectivity with the already-bound variable set, ties broken
-    toward the smaller source and then the original position.  The compiled
-    path re-plans per (rule, round) exactly like the interpreter -- sizes
-    change between rounds -- so both paths enumerate identical candidate
-    sequences (the equivalence contract of this module).
+    Atoms sharing more variables with the already-bound set join more
+    selectively (every shared variable is an equi-join the pin filter and
+    the index probes exploit), so pick by descending connectivity, breaking
+    ties toward the smaller source and then the original position
+    (determinism).  ``pinned`` seeds the bound set with the constants the
+    rule's constraint atoms force.  :meth:`CompiledRule.fire` re-plans per
+    (rule, round), so the order tracks the changing delta/relation
+    cardinalities as the fixpoint grows.
     """
     n = len(arg_lists)
     bound = set(pinned)
@@ -196,11 +200,7 @@ def _classify(
 def _expand_negations(
     negated_dnfs: list[list[tuple[Atom, ...]]]
 ) -> Iterator[tuple[Atom, ...]]:
-    """Cartesian expansion of the negated atoms' complement DNFs.
-
-    Verbatim the interpreter's expansion so compiled and interpreted leaf
-    firings see identical branch sequences (and identical counters).
-    """
+    """Cartesian expansion of the negated atoms' complement DNFs."""
     if not negated_dnfs:
         yield ()
         return
@@ -218,11 +218,7 @@ def _complement_dnf(
     stats: "EvaluationStats",
     theory: "ConstraintTheory",
 ) -> list[tuple[Atom, ...]]:
-    """Complement DNF of a negated atom via the shared per-version cache.
-
-    Same cache dict and same keys as ``DatalogProgram._complement``, so the
-    interpreted and compiled paths share one complement per content version.
-    """
+    """Complement DNF of a negated atom, cached per content version."""
     if caches.complement is None:
         return relation_complement_dnf(relation, atom.args, theory)
     key = (atom.name, atom.args, relation.version)
@@ -315,8 +311,7 @@ class CompiledRule:
         self._variants: dict[tuple[int | None, tuple[int, ...]], Any] = {}
         self._irs: dict[tuple[int | None, tuple[int, ...]], RuleIR] = {}
         self._lock = threading.Lock()
-        #: memoized root satisfiability (generic roots re-check per firing
-        #: in the interpreter; the answer is a pure function of the rule)
+        #: memoized root satisfiability (a pure function of the rule)
         self._root_ctx: Any = None
         self._root_sat: bool | None = None
 
@@ -337,10 +332,10 @@ class CompiledRule:
     ) -> list[EntryRecord]:
         """Classified entry records for a tuple source, cached per tuple.
 
-        Mirrors the interpreter's rename cache (same ablation flag, same
-        hit/miss counters): the cached entry keeps the tuple reference so
-        ``id`` stays a valid key, and records are pure functions of the
-        (tuple, target args) pair.
+        The cache honors the ``rename_cache`` flag and counts its hits and
+        misses as ``rename_cache_*``: the cached entry keeps the tuple
+        reference so ``id`` stays a valid key, and records are pure
+        functions of the (tuple, target args) pair.
         """
         if caches.centries is None:
             return [self._record(t, atom.args) for t in source]
@@ -547,12 +542,13 @@ class CompiledRule:
             ) -> list[EntryRecord] | None:
                 """Index-backed candidates, or None to scan.
 
-                Decision-for-decision the interpreter's ``probe_entries``:
-                an exact pin wins, else the incremental context's interval
-                bounds; in point mode the context's bounds *are* the pins
-                (a ground closure bounds a pinned variable to its constant
-                and nothing else), so the dict lookup replaces the solver
-                query without changing the outcome.
+                An exact pin wins (probe [c, c]), else the interval bounds
+                the incremental context forces on an argument variable --
+                only under the incremental join, where the context carries
+                solver state.  In point mode the context's bounds *are* the
+                pins (a ground closure bounds a pinned variable to its
+                constant and nothing else), so the dict lookup replaces the
+                solver query without changing the outcome.
                 """
                 relation = state.relations[slot]
                 if relation is None or not relation:
@@ -790,60 +786,29 @@ class CompiledRule:
 
 # ---------------------------------------------------------- compiled program
 class CompiledProgram:
-    """All of a program's compiled rules, plus the lookup the engine uses.
+    """A program's compiled rules, in the program's rule order.
 
-    Rules are keyed by their string form (the same spelling the cache
-    fingerprint uses): a *different* ``DatalogProgram`` object with the
-    same rules -- the prepared-query pattern of re-parsing and re-running
-    -- still resolves to the already-lowered closures.  An ``id``-keyed
-    side table makes the per-firing lookup a dict hit.
+    ``rules[i]`` is the :class:`CompiledRule` of the program's ``i``-th
+    rule; rules with the same string form share one.  The
+    :data:`PLAN_CACHE` key includes the ordered rule strings, so every
+    program the entry serves -- a *different* ``DatalogProgram`` object
+    with the same rules, the prepared-query pattern of re-parsing and
+    re-running -- lines its rules up with the same tuple, and resolving a
+    rule is positional.  Beyond the rules it was compiled from, the entry
+    keeps no reference to the rule objects of the programs it serves.
     """
 
-    def __init__(self, program: Any) -> None:
+    def __init__(self, program: Any, fingerprint: Sequence[str]) -> None:
+        #: the closures capture this instance; holding it keeps the cache
+        #: key's theory ``id`` valid
         self.theory = program.theory
-        self.options = program.options
-        self.rules = list(program.rules)
-        self.arities = dict(program.arities)
-        self._by_str: dict[str, CompiledRule] = {}
-        for rule in self.rules:
-            text = str(rule)
-            if text not in self._by_str:
-                self._by_str[text] = CompiledRule(rule, self.theory, self.options)
-        self._by_id: dict[int, CompiledRule] = {
-            id(rule): self._by_str[str(rule)] for rule in self.rules
-        }
-
-        #: foreign rule objects registered in _by_id, kept alive so their
-        #: ids stay valid keys
-        self._pinned: list[Any] = []
-
-    def compiled_for(self, rule: Any) -> CompiledRule | None:
-        compiled = self._by_id.get(id(rule))
-        if compiled is None:
-            compiled = self._by_str.get(str(rule))
-            if compiled is not None:
-                self._pinned.append(rule)
-                self._by_id[id(rule)] = compiled
-        return compiled
-
-    def fire(
-        self,
-        rule: Any,
-        world: "GeneralizedDatabase",
-        stats: "EvaluationStats",
-        caches: Any,
-        delta: dict[str, list[GeneralizedTuple]] | None,
-        delta_position: int | None,
-    ) -> list[tuple[str, GeneralizedTuple]] | None:
-        """Compiled firing, or None when the rule is unknown (caller
-        falls back to the interpreter -- defensive, not expected)."""
-        compiled = self.compiled_for(rule)
-        if compiled is None:
-            return None
-        return compiled.fire(world, stats, caches, delta, delta_position)
-
-    def variants_lowered(self) -> int:
-        return sum(len(r._variants) for r in self._by_str.values())
+        by_text: dict[str, CompiledRule] = {}
+        for rule, text in zip(program.rules, fingerprint):
+            if text not in by_text:
+                by_text[text] = CompiledRule(rule, self.theory, program.options)
+        self.rules: tuple[CompiledRule, ...] = tuple(
+            by_text[text] for text in fingerprint
+        )
 
 
 # ------------------------------------------------------------------ the cache
@@ -907,7 +872,7 @@ class PlanCache:
                 self.hits += 1
                 return entry, True, invalidated
             self.misses += 1
-        compiled = CompiledProgram(program)
+        compiled = CompiledProgram(program, fingerprint)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:

@@ -27,20 +27,13 @@ Theorems 3.14.2 / 4.11.2).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
-from repro.constraints.base import ConstraintTheory
+from repro.constraints.base import ConstraintTheory, TheoryCache
 from repro.core import compile as rulecompile
-from repro.core.calculus import relation_complement_dnf
-from repro.core.generalized import (
-    GeneralizedDatabase,
-    GeneralizedRelation,
-    GeneralizedTuple,
-)
+from repro.core.generalized import GeneralizedDatabase, GeneralizedTuple
 from repro.errors import (
     ArityError,
     BudgetExceededError,
@@ -155,10 +148,6 @@ class EngineOptions:
     #: conjunction pins or interval-bounds a join variable, instead of
     #: scanning the full renamed choice list
     index_probes: bool = True
-    #: lower planned rules to specialized closures (:mod:`repro.core.compile`)
-    #: cached in the process-wide PlanCache; off, the interpreted join is the
-    #: differential oracle the compiled path is checked against
-    compile_rules: bool = True
     #: run the containment-based semantic optimizer
     #: (:mod:`repro.analysis.semantic`) at program construction: subsumed
     #: rules, redundant literals and unsatisfiable rules are removed and
@@ -197,7 +186,6 @@ class EngineOptions:
             pin_filter=False,
             join_planner=False,
             index_probes=False,
-            compile_rules=False,
             optimize_semantic=False,
         )
 
@@ -210,7 +198,6 @@ class EngineOptions:
             "pin_filter": self.pin_filter,
             "join_planner": self.join_planner,
             "index_probes": self.index_probes,
-            "compile_rules": self.compile_rules,
             "optimize_semantic": self.optimize_semantic,
         }
 
@@ -350,43 +337,11 @@ class EvaluationStats:
         payload["ivm_rederivation_ratio"] = self.ivm_rederivation_ratio
         return payload
 
-    #: additive counters folded by :meth:`merge`; iteration/round
-    #: bookkeeping (``iterations``, ``per_round_new``) is left alone
-    _MERGE_FIELDS = (
-        "rule_firings",
-        "join_steps",
-        "tuples_derived",
-        "sat_checks",
-        "join_prunes",
-        "pin_prunes",
-        "closure_extensions",
-        "rename_cache_hits",
-        "rename_cache_misses",
-        "complement_cache_hits",
-        "complement_cache_misses",
-        "plans_built",
-        "plan_reorders",
-        "index_probes",
-        "index_candidates",
-        "index_scan_avoided",
-        "compile_hits",
-        "compile_misses",
-        "compile_invalidations",
-        "compiled_rules",
-        "compiled_firings",
-        "fastpath_leaves",
-        "compile_seconds",
-        "ivm_steps",
-        "ivm_inserts",
-        "ivm_retracts",
-        "ivm_derived_added",
-        "ivm_derived_removed",
-        "ivm_overdeleted",
-        "ivm_rederived",
-        "ivm_count_clamps",
-        "ivm_recomputed_strata",
-        "ivm_maintain_seconds",
-    )
+    #: additive counters folded by :meth:`merge`: every field except the
+    #: round bookkeeping (``iterations``, ``tuples_added``,
+    #: ``per_round_new``), the budget tag (``incomplete``, ``budget``) and
+    #: the program/plan-level ``semantic_*`` and ``magic_*`` fields
+    _MERGE_FIELDS: ClassVar[tuple[str, ...]]
 
     def merge(self, other: "EvaluationStats") -> None:
         """Add ``other``'s additive counters into this aggregate (the view's
@@ -395,13 +350,61 @@ class EvaluationStats:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
+EvaluationStats._MERGE_FIELDS = tuple(
+    spec.name
+    for spec in fields(EvaluationStats)
+    if spec.name
+    not in ("iterations", "tuples_added", "per_round_new", "incomplete", "budget")
+    and not spec.name.startswith(("semantic_", "magic_"))
+)
+
+
+class _TheoryCaches:
+    """The distinct :class:`TheoryCache` objects of some theories, switched
+    to ``enabled`` for one evaluation (or one view maintenance call).
+
+    :meth:`restore` puts back each cache's previous ``enabled`` state and
+    :meth:`record` writes the hit/miss traffic since construction into a
+    stats object -- assigned, not added, so an inner evaluation whose own
+    stats were merged in is counted once.
+    """
+
+    def __init__(self, theories: Iterable[ConstraintTheory], enabled: bool) -> None:
+        self.caches: list[TheoryCache] = []
+        for theory in theories:
+            cache = theory.cache
+            if cache is not None and all(cache is not c for c in self.caches):
+                self.caches.append(cache)
+        self.prior = [cache.enabled for cache in self.caches]
+        for cache in self.caches:
+            cache.enabled = enabled
+        self.before = [cache.stats.snapshot() for cache in self.caches]
+
+    def restore(self) -> None:
+        for cache, enabled in zip(self.caches, self.prior):
+            cache.enabled = enabled
+
+    def record(self, stats: EvaluationStats) -> None:
+        stats.theory_cache_hits = stats.theory_cache_misses = 0
+        for cache, (hits, misses) in zip(self.caches, self.before):
+            now_hits, now_misses = cache.stats.snapshot()
+            stats.theory_cache_hits += now_hits - hits
+            stats.theory_cache_misses += now_misses - misses
+
+
 class _EvalCaches:
     """Per-evaluation cache state (one per ``evaluate`` call).
 
-    ``rename`` maps (relation name, body-atom args) to {id(tuple): (tuple,
-    renamed atoms)}; the stored tuple reference keeps the id stable.  The
-    cache is value-correct across rounds because renaming is a pure function
-    of the tuple and the target argument names.
+    ``rules`` maps ``id(rule)`` of each of the program's rules to its
+    :class:`repro.core.compile.CompiledRule`, resolved once from the
+    :class:`repro.core.compile.CompiledProgram` the process-wide PlanCache
+    serves at construction (the entry's rules follow the program's rule
+    order, so no lookup by rule text is needed); ``program_rules`` keeps
+    those rule objects, hence the ids, alive.  Because each ``evaluate()``
+    builds a fresh ``_EvalCaches`` and the fetch keys on the *current*
+    ``EngineOptions``, closures specialized for stale options can never
+    leak into an evaluation whose options changed in between (the cache
+    invalidates the old entry and reports it in the stats).
 
     ``complement`` maps (relation name, args, content version) to the
     complement DNF, so unchanged relations are never recomplemented.
@@ -410,57 +413,44 @@ class _EvalCaches:
     probing is off or the theory has no generalized index).  The indexes
     themselves live on the relations and outlast the evaluation.
 
-    ``compiled`` is the evaluation's :class:`repro.core.compile.
-    CompiledProgram` (None when ``compile_rules`` is off), fetched from the
-    process-wide PlanCache at construction.  Because each ``evaluate()``
-    builds a fresh ``_EvalCaches`` and the fetch keys on the *current*
-    ``EngineOptions``, closures specialized for stale options can never
-    leak into an evaluation whose options changed in between (the cache
-    invalidates the old entry and reports it in the stats).  ``centries``
-    (classified entry records per tuple), ``cscan`` (scan lists per
-    relation content version) and ``cprobe`` (probe results per content
-    version) are the compiled path's per-evaluation caches.
+    ``centries`` (classified entry records per tuple), ``cscan`` (scan lists
+    per relation content version) and ``cprobe`` (probe results per content
+    version) are the compiled join's per-evaluation caches.
     """
 
     __slots__ = (
-        "rename",
+        "rules",
+        "program_rules",
         "complement",
         "pool",
-        "compiled",
         "centries",
         "cscan",
         "cprobe",
     )
 
-    def __init__(
-        self,
-        options: EngineOptions,
-        theory: ConstraintTheory,
-        program: "DatalogProgram | None" = None,
-        stats: EvaluationStats | None = None,
-    ) -> None:
-        self.rename: dict | None = {} if options.rename_cache else None
+    def __init__(self, program: "DatalogProgram", stats: EvaluationStats) -> None:
+        options = program.options
         self.complement: dict | None = {} if options.complement_cache else None
         self.pool: JoinIndexPool | None = None
         if options.index_probes:
-            pool = JoinIndexPool(theory)
+            pool = JoinIndexPool(program.theory)
             self.pool = pool if pool.supported else None
-        self.compiled: rulecompile.CompiledProgram | None = None
-        # entry/scan caches honor the rename-cache ablation flag (they are
-        # the compiled path's analogue of the interpreter's rename cache);
-        # the probe cache is version-keyed and always safe
+        # entry/scan caches honor the rename-cache ablation flag; the probe
+        # cache is version-keyed and always safe
         self.centries: dict | None = {} if options.rename_cache else None
         self.cscan: dict | None = {} if options.rename_cache else None
         self.cprobe: dict | None = {}
-        if program is not None and options.compile_rules:
-            started = time.perf_counter()
-            compiled, hit, invalidated = rulecompile.PLAN_CACHE.fetch(program)
-            self.compiled = compiled
-            if stats is not None:
-                stats.compile_hits += 1 if hit else 0
-                stats.compile_misses += 0 if hit else 1
-                stats.compile_invalidations += 1 if invalidated else 0
-                stats.compile_seconds += time.perf_counter() - started
+        started = time.perf_counter()
+        compiled, hit, invalidated = rulecompile.PLAN_CACHE.fetch(program)
+        self.program_rules = tuple(program.rules)
+        self.rules = {
+            id(rule): compiled_rule
+            for rule, compiled_rule in zip(self.program_rules, compiled.rules)
+        }
+        stats.compile_hits += 1 if hit else 0
+        stats.compile_misses += 0 if hit else 1
+        stats.compile_invalidations += 1 if invalidated else 0
+        stats.compile_seconds += time.perf_counter() - started
 
 
 class DatalogProgram:
@@ -635,15 +625,9 @@ class DatalogProgram:
         # (GeneralizedRelation.add) consults the database theory's cache --
         # usually the same object, but the ablation toggle and the stats
         # deltas must cover both when they differ
-        caches = []
-        for theory in (self.theory, database.theory):
-            cache = theory.cache
-            if cache is not None and all(cache is not c for c in caches):
-                caches.append(cache)
-        prior_enabled = [c.enabled for c in caches]
-        for c in caches:
-            c.enabled = self.options.theory_cache
-        before = [c.stats.snapshot() for c in caches]
+        caches = _TheoryCaches(
+            (self.theory, database.theory), self.options.theory_cache
+        )
         budget = self.options.budget
         meter = budget.start() if budget is not None else active_meter()
         try:
@@ -652,12 +636,8 @@ class DatalogProgram:
                     database, max_iterations, semi_naive, semantics
                 )
         finally:
-            for c, enabled in zip(caches, prior_enabled):
-                c.enabled = enabled
-        for c, (hits_before, misses_before) in zip(caches, before):
-            hits, misses = c.stats.snapshot()
-            stats.theory_cache_hits += hits - hits_before
-            stats.theory_cache_misses += misses - misses_before
+            caches.restore()
+        caches.record(stats)
         if self.semantic_report is not None:
             semantic = self.semantic_report.stats
             stats.semantic_rules_subsumed = semantic.rules_subsumed
@@ -737,7 +717,7 @@ class DatalogProgram:
     ) -> tuple[GeneralizedDatabase, EvaluationStats]:
         world = self._prepare(database)
         stats = EvaluationStats()
-        caches = _EvalCaches(self.options, self.theory, program=self, stats=stats)
+        caches = _EvalCaches(self, stats)
         try:
             for stratum_rules in strata:
                 while True:
@@ -823,7 +803,7 @@ class DatalogProgram:
     ) -> tuple[GeneralizedDatabase, EvaluationStats]:
         world = self._prepare(database)
         stats = EvaluationStats()
-        caches = _EvalCaches(self.options, self.theory, program=self, stats=stats)
+        caches = _EvalCaches(self, stats)
         try:
             while True:
                 stats.iterations += 1
@@ -848,7 +828,7 @@ class DatalogProgram:
     ) -> tuple[GeneralizedDatabase, EvaluationStats]:
         world = self._prepare(database)
         stats = EvaluationStats()
-        caches = _EvalCaches(self.options, self.theory, program=self, stats=stats)
+        caches = _EvalCaches(self, stats)
         idbs = self.idb_predicates()
         # deltas: tuples added in the previous round
         delta: dict[str, list[GeneralizedTuple]] = {
@@ -914,7 +894,7 @@ class DatalogProgram:
     ) -> tuple[GeneralizedDatabase, EvaluationStats]:
         world = self._prepare(database)
         stats = EvaluationStats()
-        caches = _EvalCaches(self.options, self.theory, program=self, stats=stats)
+        caches = _EvalCaches(self, stats)
         try:
             while True:
                 stats.iterations += 1
@@ -944,329 +924,20 @@ class DatalogProgram:
     ) -> list[tuple[str, GeneralizedTuple]]:
         """Fire every (rule, delta, delta-position) task of one round.
 
-        Tasks fire in order, in the calling thread, and the derived list is
-        their firings concatenated in task order -- so the merge into the
-        world (hence the fixpoint and its insertion order) is deterministic.
-        A budget trip or chaos fault inside a firing propagates unchanged
-        into the drivers' handlers, preserving the supervisor's fringe
-        semantics.
+        Each task fires its rule's compiled closure chain
+        (:meth:`repro.core.compile.CompiledRule.fire`).  With a delta, the
+        positive atom at ``delta_position`` draws from the delta instead of
+        the full relation (the semi-naive restriction).  Tasks fire in
+        order, in the calling thread, and the derived list is their firings
+        concatenated in task order -- so the merge into the world (hence
+        the fixpoint and its insertion order) is deterministic.  A budget
+        trip or chaos fault inside a firing propagates unchanged into the
+        drivers' handlers, preserving the supervisor's fringe semantics.
         """
         derived: list[tuple[str, GeneralizedTuple]] = []
+        compiled = caches.rules
         for rule, delta, delta_position in tasks:
             derived.extend(
-                self._fire(rule, world, stats, caches, delta, delta_position)
+                compiled[id(rule)].fire(world, stats, caches, delta, delta_position)
             )
         return derived
-
-    # ------------------------------------------------------------ rule firing
-    def _plan(
-        self,
-        positives: Sequence[RelationAtom],
-        sizes: Sequence[int],
-        pinned: set[str],
-        stats: EvaluationStats,
-    ) -> list[int]:
-        """Greedy selectivity order over the rule's positive atoms.
-
-        Atoms sharing more variables with the already-bound set join more
-        selectively (every shared variable is an equi-join the pin filter
-        and the index probes exploit), so pick by descending connectivity,
-        breaking ties toward the smaller source and then the original
-        position (determinism).  ``pinned`` seeds the bound set with the
-        constants the rule's constraint atoms force.  Called once per
-        (rule, round), so the order tracks the changing delta/relation
-        cardinalities as the fixpoint grows.
-        """
-        n = len(positives)
-        if n <= 1:
-            return list(range(n))
-        stats.plans_built += 1
-        # the greedy core lives in repro.core.compile (plan_order) so the
-        # compiled closures provably share the interpreter's ordering
-        order = rulecompile.plan_order(
-            [atom.args for atom in positives], sizes, pinned
-        )
-        if order != sorted(order):
-            stats.plan_reorders += 1
-        return order
-
-    def _renamed_tuples(
-        self,
-        atom: RelationAtom,
-        source: Iterable[GeneralizedTuple],
-        caches: _EvalCaches,
-        stats: EvaluationStats,
-        want_pins: bool,
-    ) -> list[tuple[tuple[Atom, ...], dict | None]]:
-        """Each source tuple's atoms renamed onto the body atom's arguments,
-        paired with its pinned-constant map when the pin filter is active.
-
-        Renaming is a pure function of (tuple, target args), so results are
-        cached per (relation, body-atom) pair across rounds; the cached entry
-        keeps the tuple reference, pinning its id for the dict key.
-        """
-        theory = self.theory
-        if caches.rename is None:
-            return [
-                (
-                    renamed := tuple(t.rename(atom.args).atoms),
-                    theory.pinned_constants(renamed) if want_pins else None,
-                )
-                for t in source
-            ]
-        per_atom = caches.rename.setdefault((atom.name, atom.args), {})
-        renamed_list: list[tuple[tuple[Atom, ...], dict | None]] = []
-        for t in source:
-            entry = per_atom.get(id(t))
-            if entry is None:
-                renamed = tuple(t.rename(atom.args).atoms)
-                pins = dict(theory.pinned_constants(renamed)) if want_pins else None
-                per_atom[id(t)] = (t, renamed, pins)
-                stats.rename_cache_misses += 1
-            else:
-                renamed, pins = entry[1], entry[2]
-                if want_pins and pins is None:
-                    pins = dict(theory.pinned_constants(renamed))
-                    per_atom[id(t)] = (t, renamed, pins)
-                stats.rename_cache_hits += 1
-            renamed_list.append((renamed, pins))
-        return renamed_list
-
-    def _complement(
-        self,
-        atom: RelationAtom,
-        relation: GeneralizedRelation,
-        caches: _EvalCaches,
-        stats: EvaluationStats,
-    ) -> list[tuple[Atom, ...]]:
-        """Complement DNF of a negated body atom, cached per content version."""
-        if caches.complement is None:
-            return relation_complement_dnf(relation, atom.args, self.theory)
-        key = (atom.name, atom.args, relation.version)
-        cached = caches.complement.get(key)
-        if cached is None:
-            cached = relation_complement_dnf(relation, atom.args, self.theory)
-            caches.complement[key] = cached
-            stats.complement_cache_misses += 1
-        else:
-            stats.complement_cache_hits += 1
-        return cached
-
-    def _fire(
-        self,
-        rule: Rule,
-        world: GeneralizedDatabase,
-        stats: EvaluationStats,
-        caches: _EvalCaches,
-        delta: dict[str, list[GeneralizedTuple]] | None = None,
-        delta_position: int | None = None,
-    ) -> list[tuple[str, GeneralizedTuple]]:
-        """All head tuples derivable by one firing of ``rule``.
-
-        With ``delta``/``delta_position`` set, the positive atom at that
-        position draws from the delta instead of the full relation
-        (semi-naive restriction).  The delta restriction survives the join
-        planner's reordering because the delta source is attached to the
-        atom *before* planning -- the plan permutes (atom, source) pairs.
-
-        With ``compile_rules`` on, the firing is delegated to the rule's
-        compiled closure chain (:mod:`repro.core.compile`), which enumerates
-        exactly the same candidates in the same order; the interpreted body
-        below is the differential oracle the compiled path is tested
-        against (and the fallback for rules the cache cannot resolve).
-        """
-        compiled = caches.compiled
-        if compiled is not None:
-            fired = compiled.fire(rule, world, stats, caches, delta, delta_position)
-            if fired is not None:
-                return fired
-        positives = rule.positive_atoms
-        options = self.options
-        pin_filter = options.pin_filter
-        theory = self.theory
-        constraints = tuple(rule.constraint_atoms)
-        need_pins = pin_filter or options.join_planner
-        root_pin_map = (
-            dict(theory.pinned_constants(constraints)) if need_pins else {}
-        )
-
-        # (body atom, tuple source, indexable relation or None); deltas are
-        # consumed once per round, so indexing them would cost more than the
-        # scan they replace
-        sources: list[
-            tuple[RelationAtom, Iterable[GeneralizedTuple], GeneralizedRelation | None]
-        ] = []
-        sizes: list[int] = []
-        for index, atom in enumerate(positives):
-            relation = world.relation(atom.name)
-            if delta is not None and index == delta_position:
-                source = delta.get(atom.name, [])
-                sources.append((atom, source, None))
-                sizes.append(len(source))
-            else:
-                sources.append((atom, relation, relation))
-                sizes.append(len(relation))
-        if options.join_planner:
-            order = self._plan(positives, sizes, set(root_pin_map), stats)
-        else:
-            order = list(range(len(positives)))
-        plan = [sources[i] for i in order]
-        negated_dnfs: list[list[tuple[Atom, ...]]] = [
-            self._complement(atom, world.relation(atom.name), caches, stats)
-            for atom in rule.negative_atoms
-        ]
-        head_vars = rule.head.args
-        body_vars = rule.variables()
-        drop = tuple(v for v in body_vars if v not in head_vars)
-        results: list[tuple[str, GeneralizedTuple]] = []
-        incremental = options.incremental_join
-        pool = caches.pool
-        slots = len(plan)
-        #: lazily-materialized full scan lists, one per plan slot -- a slot
-        #: every probe answers never pays for renaming its whole relation
-        scan_lists: list[list[tuple[tuple[Atom, ...], dict | None]] | None] = [
-            None
-        ] * slots
-
-        def scan_entries(slot: int) -> list[tuple[tuple[Atom, ...], dict | None]]:
-            entries = scan_lists[slot]
-            if entries is None:
-                atom, source, _relation = plan[slot]
-                entries = self._renamed_tuples(atom, source, caches, stats, pin_filter)
-                scan_lists[slot] = entries
-            return entries
-
-        def probe_entries(
-            slot: int, context, pins: dict | None
-        ) -> list[tuple[tuple[Atom, ...], dict | None]] | None:
-            """Index-backed candidates for a slot, or None to scan.
-
-            Prefers an exact pin (probe [c, c]); otherwise asks the theory
-            for interval bounds the partial conjunction forces on an
-            argument variable -- only under the incremental join, where the
-            context carries solver state (rebuilding a closure per probe
-            would cost more than the scan it avoids).
-            """
-            atom, _source, relation = plan[slot]
-            if relation is None or not relation:
-                return None
-            best = None
-            if pins is not None:
-                for position, var in enumerate(atom.args):
-                    value = pins.get(var)
-                    if isinstance(value, Fraction):
-                        best = (position, value, value)
-                        break
-            if best is None and incremental:
-                for position, var in enumerate(atom.args):
-                    bounds = theory.conjunction_bounds(context, var)
-                    if bounds is not None:
-                        best = (position, bounds[0], bounds[1])
-                        break
-            if best is None:
-                return None
-            position, low, high = best
-            candidates = pool.probe(relation, relation.variables[position], low, high)
-            if candidates is None:
-                return None
-            stats.index_probes += 1
-            stats.index_candidates += len(candidates)
-            stats.index_scan_avoided += len(relation) - len(candidates)
-            return self._renamed_tuples(atom, candidates, caches, stats, pin_filter)
-
-        def fire_leaf(partial: tuple[Atom, ...]) -> None:
-            for negated in self._expand_negations(negated_dnfs):
-                stats.rule_firings += 1
-                conjunction = partial + negated
-                if negated:
-                    stats.sat_checks += 1
-                    if not theory.is_satisfiable(conjunction):
-                        stats.join_prunes += 1
-                        continue
-                for eliminated in theory.eliminate(conjunction, drop):
-                    stats.tuples_derived += 1
-                    results.append(
-                        (
-                            rule.head.name,
-                            GeneralizedTuple(head_vars, eliminated),
-                        )
-                    )
-
-        def extend(index: int, context, pins: dict | None) -> None:
-            """Depth-first join with incremental satisfiability pruning:
-            a partial combination that is already inconsistent (e.g. a key
-            mismatch) cuts the whole subtree of tuple choices.  With the
-            incremental fast path, each level extends the parent's solver
-            state (the dense-order closure) instead of re-closing the whole
-            partial conjunction from scratch.  ``pins`` carries the partial
-            conjunction's forced variable=constant bindings; a candidate that
-            pins a shared variable to a different constant is unsatisfiable
-            with the partial conjunction, so it is rejected by a dictionary
-            comparison before the solver is consulted at all.  When the
-            partial conjunction pins or interval-bounds one of the slot's
-            variables, the slot's candidates come from the generalized
-            index instead of the full scan list."""
-            if index == slots:
-                fire_leaf(context.atoms if incremental else context)
-                return
-            entries = None
-            if pool is not None:
-                entries = probe_entries(index, context, pins)
-            if entries is None:
-                entries = scan_entries(index)
-            for renamed, cand_pins in entries:
-                stats.join_steps += 1
-                tick("join")
-                if pins is not None and cand_pins:
-                    conflict = False
-                    for var, value in cand_pins.items():
-                        known = pins.get(var, value)
-                        if known != value:
-                            conflict = True
-                            break
-                    if conflict:
-                        stats.pin_prunes += 1
-                        stats.join_prunes += 1
-                        continue
-                    child_pins = {**pins, **cand_pins}
-                else:
-                    child_pins = pins
-                if incremental:
-                    child = theory.extend_conjunction(context, renamed)
-                    stats.closure_extensions += 1
-                    if not child.satisfiable:
-                        stats.join_prunes += 1
-                        continue
-                    extend(index + 1, child, child_pins)
-                else:
-                    candidate = context + renamed
-                    stats.sat_checks += 1
-                    if not theory.is_satisfiable(candidate):
-                        stats.join_prunes += 1
-                        continue
-                    extend(index + 1, candidate, child_pins)
-
-        root_pins = dict(root_pin_map) if pin_filter else None
-        if incremental:
-            root = theory.begin_conjunction(constraints)
-            stats.sat_checks += 1
-            if root.satisfiable:
-                extend(0, root, root_pins)
-        else:
-            stats.sat_checks += 1
-            if theory.is_satisfiable(constraints):
-                extend(0, constraints, root_pins)
-        return results
-
-    @staticmethod
-    def _expand_negations(
-        negated_dnfs: list[list[tuple[Atom, ...]]]
-    ) -> Iterable[tuple[Atom, ...]]:
-        if not negated_dnfs:
-            yield ()
-            return
-        for combo in itertools.product(*negated_dnfs):
-            merged: tuple[Atom, ...] = ()
-            for part in combo:
-                merged = merged + part
-            yield merged

@@ -61,6 +61,7 @@ from repro.core.datalog import (
     EvaluationStats,
     Rule,
     _EvalCaches,
+    _TheoryCaches,
 )
 from repro.core.generalized import (
     GeneralizedDatabase,
@@ -313,11 +314,16 @@ class MaterializedView:
         started = time.perf_counter()
         budget = self.program.options.budget
         meter = budget.start() if budget is not None else active_meter()
-        enabled = self._enable_theory_caches()
+        # measured over the whole call, once: the recompute paths' inner
+        # evaluate() traffic is part of this delta, not added on top
+        caches = _TheoryCaches(
+            (self.theory, self.world.theory), self.program.options.theory_cache
+        )
         try:
             with metered(meter):
                 self._apply_inner(list(inserts), list(retracts), stats)
         except BudgetExceededError as error:
+            caches.record(stats)
             self._mark_stale(f"budget exceeded mid-maintenance: {error}")
             stats.incomplete = True
             report = getattr(error, "report", None)
@@ -332,7 +338,8 @@ class MaterializedView:
             self._mark_stale(f"fault mid-maintenance: {error}")
             raise
         finally:
-            self._restore_theory_caches(enabled)
+            caches.restore()
+        caches.record(stats)
         stats.ivm_maintain_seconds = time.perf_counter() - started
         self._finish(stats)
         return stats
@@ -375,20 +382,6 @@ class MaterializedView:
         )
 
     # ------------------------------------------------------------- internals
-    def _enable_theory_caches(self) -> list[tuple[object, bool]]:
-        """Mirror ``evaluate``'s theory-cache bracketing for maintenance."""
-        saved: list[tuple[object, bool]] = []
-        cache = self.theory.cache
-        if cache is not None:
-            saved.append((cache, cache.enabled))
-            cache.enabled = self.program.options.theory_cache
-        return saved
-
-    @staticmethod
-    def _restore_theory_caches(saved: list[tuple[object, bool]]) -> None:
-        for cache, enabled in saved:
-            cache.enabled = enabled  # type: ignore[attr-defined]
-
     def _accumulate(self, stats: EvaluationStats) -> None:
         self.total_stats.merge(stats)
         self.total_stats.iterations += stats.iterations
@@ -450,17 +443,10 @@ class MaterializedView:
                 self._mworld.add_relation(delta)
                 self._mid_rel[name] = mid
                 self._delta_rel[name] = delta
-        self._caches = _EvalCaches(
-            self._opts, self.theory, program=self.program, stats=self.total_stats
-        )
+        self._caches = _EvalCaches(self.program, self.total_stats)
         for stratum in self._strata:
             if stratum.expansion is not None:
-                stratum.caches = _EvalCaches(
-                    self._opts,
-                    self.theory,
-                    program=stratum.expansion,
-                    stats=self.total_stats,
-                )
+                stratum.caches = _EvalCaches(stratum.expansion, self.total_stats)
         self._counts = {}
         scratch = EvaluationStats()
         for stratum in self._strata:

@@ -13,11 +13,13 @@ and records stable, comparable records into ``BENCH_datalog.json`` (via
   lemma (Section 5).
 
 Every engine workload runs once per ablation column (all optimizations on,
-all off, the join planner and index probes individually off, and the rule
-compiler off),
-asserts that *all columns produce the identical fixpoint*, and records
-per-column wall-clock plus the relevant engine counters.  A separate
-``compile_stats`` record microbenches the PlanCache: cold ``evaluate()``
+all off, the join planner and index probes individually off), asserts that
+*all columns produce the identical fixpoint*, and records per-column
+wall-clock plus the relevant engine counters.  A ``reference`` column times
+the flag-free reference evaluator
+(:func:`repro.conformance.reference.reference_fixpoint`) on the same input
+and must land on the same fixpoint.  A separate ``compile_stats`` record
+microbenches the PlanCache: cold ``evaluate()``
 setup (cleared cache: fetch + lowering) vs. warm (cache hit), the
 prepared-query pattern the planned server relies on.  A ``semantic_stats``
 record exercises the containment optimizer: dense TC with 25% injected
@@ -28,11 +30,11 @@ full-fixpoint-then-filter, asserting byte-identical answers and a warm
 plan-cache hit for the repeated adornment shape.
 
 ``--check PCT`` turns the suite into a regression gate: the **speedup
-ratios** (all-off / all-on and no-compile / all-on per workload) of the
-fresh run are compared against a baseline document (``--baseline``, default
-the committed ``BENCH_datalog.json``), and the run fails if any ratio
-regressed by more than PCT percent.  Ratios, not absolute times, keep the
-gate meaningful across CI machines of different speeds.  The gate also
+ratio** (reference / all-on per workload) of the fresh run is compared
+against a baseline document (``--baseline``, default the committed
+``BENCH_datalog.json``), and the run fails if any ratio regressed by more
+than PCT percent.  Ratios, not absolute times, keep the gate meaningful
+across CI machines of different speeds.  The gate also
 enforces the plan-cache floor: a warm evaluate() must set up at least 5x
 faster than a cold one.
 """
@@ -47,6 +49,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.boolean_algebra.algebra import FreeBooleanAlgebra
+from repro.conformance.reference import reference_fixpoint
 from repro.constraints.boolean import BooleanTheory
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
@@ -62,13 +65,12 @@ T(x, y) :- E(x, y).
 T(x, y) :- T(x, z), E(z, y).
 """
 
-#: ablation columns recorded per workload: the two extremes plus each of
-#: three fast-path layers individually off
+#: ablation columns recorded per workload: the two extremes plus two
+#: fast-path layers individually off
 COLUMNS: tuple[tuple[str, EngineOptions], ...] = (
     ("all_on", EngineOptions.all_on()),
     ("no_join_planner", EngineOptions(join_planner=False)),
     ("no_index_probes", EngineOptions(index_probes=False)),
-    ("no_compile", EngineOptions(compile_rules=False)),
     ("all_off", EngineOptions.all_off()),
 )
 
@@ -101,39 +103,43 @@ def _run_columns(
     target: str = "T",
     repeat: int = 1,
 ) -> dict[str, Any]:
-    """One workload across all ablation columns; asserts identical fixpoints."""
+    """One workload across all ablation columns and the reference;
+    asserts identical fixpoints."""
     rules = parse_rules(TC_RULES, theory=theory)
+
+    def best_of(run: Callable[[GeneralizedDatabase], Any]) -> tuple[float, Any]:
+        best, result = float("inf"), None
+        for _ in range(repeat):
+            db = make_db()
+            started = time.perf_counter()
+            result = run(db)
+            best = min(best, time.perf_counter() - started)
+        return best, result
+
     columns: dict[str, Any] = {}
     fingerprints = set()
     for column, options in COLUMNS:
         program = DatalogProgram(rules, theory, options=options)
-        best = None
-        for _ in range(repeat):
-            db = make_db()
-            started = time.perf_counter()
-            world, stats = program.evaluate(db)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
+        best, (world, stats) = best_of(program.evaluate)
         fingerprints.add(_fingerprint(world, target))
         columns[column] = {
             "time_s": round(best, 6),
             **{name: getattr(stats, name) for name in _TRACKED},
         }
+    best, world = best_of(lambda db: reference_fixpoint(rules, theory, db))
+    fingerprints.add(_fingerprint(world, target))
+    columns["reference"] = {"time_s": round(best, 6)}
     identical = len(fingerprints) == 1
     if not identical:
         raise BenchError(
             f"ablation columns disagree on the fixpoint "
             f"({len(fingerprints)} distinct answers)"
         )
-    speedup = columns["all_off"]["time_s"] / max(columns["all_on"]["time_s"], 1e-9)
-    compile_speedup = columns["no_compile"]["time_s"] / max(
-        columns["all_on"]["time_s"], 1e-9
-    )
+    speedup = columns["reference"]["time_s"] / max(columns["all_on"]["time_s"], 1e-9)
     return {
         "columns": columns,
         "identical_fixpoints": identical,
         "speedup_all_on": round(speedup, 3),
-        "speedup_compile": round(compile_speedup, 3),
     }
 
 
@@ -181,10 +187,9 @@ def _bench_dense(sizes: Iterable[int], repeat: int) -> dict[str, Any]:
         "workload": "dense-order transitive closure over point chains",
         "sizes": list(sizes),
         "per_size": per_size,
-        # headline ratios: the largest size is the one the acceptance gate
+        # headline ratio: the largest size is the one the acceptance gate
         # and the regression check track
         "speedup_all_on": per_size[str(max(sizes))]["speedup_all_on"],
-        "speedup_compile": per_size[str(max(sizes))]["speedup_compile"],
     }
 
 
@@ -200,7 +205,6 @@ def _bench_equality(sizes: Iterable[int], repeat: int) -> dict[str, Any]:
         "sizes": list(sizes),
         "per_size": per_size,
         "speedup_all_on": per_size[str(max(sizes))]["speedup_all_on"],
-        "speedup_compile": per_size[str(max(sizes))]["speedup_compile"],
     }
 
 
@@ -514,19 +518,14 @@ _IVM_FLOOR_MIN_N = 32
 
 
 def _collect_speedups(document: dict[str, Any]) -> dict[str, float]:
-    """name -> headline speedup ratios for every engine record in a document.
-
-    The compile-ablation ratio of a record gates under ``<name>::compile``
-    so the two ratios regress (and report) independently.
-    """
+    """name -> headline speedup ratio for every engine record in a document."""
     speedups: dict[str, float] = {}
     for name, record in document.get("records", {}).items():
         if not name.startswith("engine_"):
             continue
-        for field, suffix in (("speedup_all_on", ""), ("speedup_compile", "::compile")):
-            ratio = record.get(field)
-            if isinstance(ratio, (int, float)) and ratio > 0:
-                speedups[name + suffix] = float(ratio)
+        ratio = record.get("speedup_all_on")
+        if isinstance(ratio, (int, float)) and ratio > 0:
+            speedups[name] = float(ratio)
     return speedups
 
 

@@ -37,29 +37,25 @@ def test_every_ablation_config_is_exercised():
     """Acceptance criterion: each EngineOptions ablation runs in some pair."""
     report = run_conformance("dense_order", cases=20, seed=resolve_seed(0))
     exercised, total = report.options_coverage()
-    # coverage keys by as_dict, under which compiled_off collapses into
-    # no_compile_rules and semantic_off (the acceptance-criterion alias)
-    # into no_optimize_semantic
+    # coverage keys by as_dict, under which semantic_off (the
+    # acceptance-criterion alias) collapses into no_optimize_semantic
     distinct = len({frozenset(o.as_dict().items()) for _, o in ABLATION_GRID})
     assert (exercised, total) == (distinct, distinct)
-    assert distinct == len(ABLATION_GRID) - 2
+    assert distinct == len(ABLATION_GRID) - 1
     assert report.ok, [f.discrepancy.describe() for f in report.failures]
 
 
 def test_ablation_grid_shape():
     labels = [label for label, _ in ABLATION_GRID]
     assert labels[:2] == ["all_on", "all_off"]
-    # all_on + all_off + one per as_dict flag + serial_scan + compiled_off
-    # + semantic_off
+    # all_on + all_off + one per as_dict flag + serial_scan + semantic_off
     flags = len(ABLATION_GRID[0][1].as_dict())
-    assert len(labels) == flags + 5
+    assert len(labels) == flags + 4
     # every grid entry is a distinct configuration except the stable public
-    # aliases of auto-generated entries -- compiled_off for no_compile_rules
-    # and semantic_off for no_optimize_semantic -- so nightly tooling can
-    # reference each differential pair by name regardless of flag spelling
+    # alias semantic_off of the auto-generated no_optimize_semantic, so
+    # nightly tooling can reference the differential pair by name
     distinct = {frozenset(o.as_dict().items()) for _, o in ABLATION_GRID}
-    assert len(distinct) == len(labels) - 2
-    assert "compiled_off" in labels and "no_compile_rules" in labels
+    assert len(distinct) == len(labels) - 1
     assert "semantic_off" in labels and "no_optimize_semantic" in labels
 
 
@@ -88,7 +84,11 @@ def test_datalog_registry_contains_all_ablations_and_naive():
         spec = generate_case("dense_order", case_seed(3, "dense_order", index))
         if spec.kind != "datalog":
             continue
-        names = {route.name for route in strategies_for(spec)}
+        routes = strategies_for(spec)
+        names = {route.name for route in routes}
+        # the flag-free reference evaluator is the route all others are
+        # compared against
+        assert routes[0].name == "datalog[reference]"
         assert "datalog[all_on]" in names
         assert "datalog[all_off]" in names
         assert "datalog[naive]" in names
@@ -96,7 +96,6 @@ def test_datalog_registry_contains_all_ablations_and_naive():
         flags = len(ABLATION_GRID[0][1].as_dict())
         assert sum(1 for n in names if n.startswith("datalog[no_")) == flags
         assert "datalog[serial_scan]" in names
-        assert "datalog[compiled_off]" in names
         return
     pytest.fail("no datalog case generated in 200 seeds")
 

@@ -135,7 +135,7 @@ class TestEngineCommand:
             ".run",
             ".engine",
         ])
-        assert "compile_rules=on" in output
+        assert "index_probes=on" in output
         assert "plan cache: 1 compiled program(s)" in output
         # first .run misses, second hits the prepared-query cache
         assert "1 hits, 1 misses" in output

@@ -1,12 +1,14 @@
-"""The rule compiler: PlanCache lifecycle, IR rendering, budget parity.
+"""The rule compiler: PlanCache lifecycle, IR rendering, stats folding.
 
-The equivalence matrix (compiled vs. interpreted fixpoints across theories
+The equivalence matrix (engine vs. reference fixpoints across theories
 and semantics) lives in ``test_compile_equivalence.py``; this module covers
 the cache machinery itself -- the prepared-query pattern the server relies
-on -- plus the lowered-IR pretty printer and the budget-tick contract.
+on -- plus the lowered-IR pretty printer and ``EvaluationStats.merge``.
 """
 
-from dataclasses import replace
+import gc
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,9 +17,7 @@ from repro.constraints.equality import EqualityTheory
 from repro.core.compile import PLAN_CACHE, PlanCache, render_plan
 from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats
 from repro.core.generalized import GeneralizedDatabase
-from repro.errors import BudgetExceededError
 from repro.logic.parser import parse_rules
-from repro.runtime.budget import Budget
 
 TC_RULES = """
 T(x, y) :- E(x, y).
@@ -106,19 +106,20 @@ class TestPlanCache:
         _, back = _program(theory, on).evaluate(_chain_db(theory, 4))
         assert back.compile_invalidations == 1
 
-    def test_compile_rules_off_bypasses_cache(self):
+    def test_entry_keeps_no_reparsed_rules_alive(self):
+        # the shell re-parses on every .run and program_batch parses every
+        # request: an entry serving a re-parsed program must not hold on to
+        # that program's rule objects
         theory = DenseOrderTheory()
-        options = replace(EngineOptions.all_on(), compile_rules=False)
-        _, stats = _program(theory, options).evaluate(_chain_db(theory, 4))
-        assert stats.compile_misses == 0 and stats.compiled_firings == 0
-        assert PLAN_CACHE.stats()["entries"] == 0
-
-    def test_all_off_disables_compilation(self):
-        theory = DenseOrderTheory()
-        _, stats = _program(theory, EngineOptions.all_off()).evaluate(
-            _chain_db(theory, 4)
-        )
-        assert stats.compiled_firings == 0 and stats.fastpath_leaves == 0
+        _program(theory).evaluate(_chain_db(theory, 3))
+        reparsed = _program(theory)
+        _, stats = reparsed.evaluate(_chain_db(theory, 3))
+        assert stats.compile_hits == 1
+        rule = weakref.ref(reparsed.rules[0])
+        del reparsed
+        gc.collect()
+        assert rule() is None
+        assert PLAN_CACHE.stats()["entries"] == 1
 
     def test_lru_bound(self):
         cache = PlanCache(maxsize=2)
@@ -173,6 +174,34 @@ class TestStatsMerge:
         assert a.fastpath_leaves == 21
         assert a.compile_seconds == pytest.approx(1.1)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            spec.name
+            for spec in fields(EvaluationStats)
+            if spec.name
+            not in ("iterations", "tuples_added", "per_round_new", "incomplete", "budget")
+            and not spec.name.startswith(("semantic_", "magic_"))
+        ],
+    )
+    def test_merge_folds_every_additive_field(self, name):
+        a, b = EvaluationStats(), EvaluationStats()
+        setattr(a, name, getattr(a, name) + 2)
+        setattr(b, name, getattr(b, name) + 3)
+        a.merge(b)
+        assert getattr(a, name) == 5
+
+    def test_merge_leaves_round_and_plan_fields_alone(self):
+        a, b = EvaluationStats(), EvaluationStats()
+        b.iterations = b.tuples_added = b.semantic_rules_subsumed = 4
+        b.magic_rules = 4
+        b.per_round_new = [1]
+        b.incomplete = True
+        a.merge(b)
+        assert (a.iterations, a.tuples_added) == (0, 0)
+        assert (a.semantic_rules_subsumed, a.magic_rules) == (0, 0)
+        assert (a.per_round_new, a.incomplete) == ([], False)
+
     def test_as_dict_exposes_compiler_counters(self):
         exposed = EvaluationStats().as_dict()
         for key in (
@@ -215,27 +244,3 @@ class TestRenderPlan:
         assert len(world.relation("T")) > len(world.relation("E"))
         text = render_plan(program, program.rules[1], world)
         assert "order: [1, 0]" in text  # E (position 1) scans first
-
-
-class TestBudgetTickParity:
-    """Compiled loops tick the shared meter exactly like interpreted ones."""
-
-    def _trip(self, budget, compile_rules):
-        theory = DenseOrderTheory()
-        options = replace(
-            EngineOptions.all_on(), budget=budget, compile_rules=compile_rules
-        )
-        with pytest.raises(BudgetExceededError) as info:
-            _program(theory, options).evaluate(_chain_db(theory, 20))
-        return info.value.report
-
-    @pytest.mark.parametrize(
-        "budget",
-        [Budget(joins=17), Budget(tuples=9), Budget(rounds=3)],
-        ids=["joins", "tuples", "rounds"],
-    )
-    def test_same_trip_counts(self, budget):
-        compiled = self._trip(budget, compile_rules=True)
-        interpreted = self._trip(budget, compile_rules=False)
-        assert compiled.budget_kind == interpreted.budget_kind
-        assert compiled.counts == interpreted.counts

@@ -1,28 +1,26 @@
-"""Property tests: compiled closures never change a fixpoint.
+"""Property tests: the compiled join computes the reference fixpoint.
 
-The compiler's contract is stronger than "same answers": a compiled rule
-enumerates exactly the candidate entries the interpreted join enumerates,
-in the same order, under the same plan -- the fast paths only change *how*
-each per-entry decision is computed.  These tests check the observable
-half of that contract across all four theories and all four semantics
-(naive and semi-naive iteration under auto, stratified, and inflationary
-policies), and the stronger half via the shared counters: identical
-``join_steps`` and ``tuples_derived`` between the two engines, and
-identical sound under-approximations when a fringe budget trips.
+The engine's only rule join is the compiled closure chain
+(:mod:`repro.core.compile`).  Its oracle is
+:func:`repro.conformance.reference.reference_fixpoint`, a flag-free,
+cache-free evaluator sharing no join code with it.  These tests compare
+the two across all four theories and every semantics (naive and
+semi-naive iteration under auto, stratified, and inflationary policies),
+semantically through :func:`repro.conformance.oracles.compare_relations`.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.oracles import compare_relations
+from repro.conformance.reference import reference_fixpoint
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
 from repro.core.datalog import DatalogProgram, EngineOptions
 from repro.core.generalized import GeneralizedDatabase
 from repro.logic.parser import parse_rules
-from repro.runtime.budget import Budget
 
 POSITIVE_RULES = """
 T(x, y) :- E(x, y).
@@ -34,9 +32,6 @@ U(x, y) :- V(x), V(y), not T(x, y).
 """
 
 SEMANTICS = ("auto", "stratified", "inflationary")
-
-COMPILED = EngineOptions.all_on()
-INTERPRETED = replace(EngineOptions.all_on(), compile_rules=False)
 
 
 def _random_dense_db(theory, rng, size):
@@ -83,14 +78,7 @@ def _random_equality_db(theory, rng, size):
     return db
 
 
-def _fingerprint(world, names):
-    return {
-        name: frozenset(frozenset(t.atoms) for t in world.relation(name))
-        for name in names
-    }
-
-
-def _assert_compiled_equivalent(make_theory, make_db, seed, size):
+def _assert_matches_reference(make_theory, make_db, theory_name, seed, size):
     rng = random.Random(seed)
     for rules_text, names in (
         (POSITIVE_RULES, ("T",)),
@@ -98,54 +86,55 @@ def _assert_compiled_equivalent(make_theory, make_db, seed, size):
     ):
         layout_seed = rng.randrange(1 << 30)
         for semantics in SEMANTICS:
+            # fresh theory and database per run: neither evaluation sees
+            # the other's caches or join indexes
+            theory = make_theory()
+            rules = parse_rules(rules_text, theory=theory)
+            db = make_db(theory, random.Random(layout_seed), size)
+            expected = reference_fixpoint(rules, theory, db, semantics=semantics)
             for semi_naive in (True, False):
-                results = []
-                counters = []
-                for options in (COMPILED, INTERPRETED):
-                    theory = make_theory()
-                    db = make_db(theory, random.Random(layout_seed), size)
-                    program = DatalogProgram(
-                        parse_rules(rules_text, theory=theory),
-                        theory,
-                        options=options,
+                theory = make_theory()
+                db = make_db(theory, random.Random(layout_seed), size)
+                program = DatalogProgram(
+                    parse_rules(rules_text, theory=theory),
+                    theory,
+                    options=EngineOptions.all_on(),
+                )
+                world, _stats = program.evaluate(
+                    db, semi_naive=semi_naive, semantics=semantics
+                )
+                for name in names:
+                    found = compare_relations(
+                        expected.relation(name),
+                        world.relation(name),
+                        "reference",
+                        "engine",
+                        theory_name,
                     )
-                    world, stats = program.evaluate(
-                        db, semi_naive=semi_naive, semantics=semantics
+                    assert found is None, (
+                        f"{name}: {found.describe()} (semantics={semantics}, "
+                        f"semi_naive={semi_naive}, seed={seed})"
                     )
-                    results.append(_fingerprint(world, names))
-                    counters.append((stats.join_steps, stats.tuples_derived))
-                label = (
-                    f"(semantics={semantics}, semi_naive={semi_naive}, "
-                    f"seed={seed})"
-                )
-                assert results[0] == results[1], (
-                    f"compilation changed the fixpoint {label}"
-                )
-                # the step-for-step contract: same entries enumerated,
-                # same tuples derived
-                assert counters[0] == counters[1], (
-                    f"compilation changed the join/derive counts {label}"
-                )
 
 
 class TestCompiledEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_dense_order_programs(self, seed, size):
-        _assert_compiled_equivalent(
-            DenseOrderTheory, _random_dense_db, seed, size
+        _assert_matches_reference(
+            DenseOrderTheory, _random_dense_db, "dense_order", seed, size
         )
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_equality_programs(self, seed, size):
-        _assert_compiled_equivalent(
-            EqualityTheory, _random_equality_db, seed, size
+        _assert_matches_reference(
+            EqualityTheory, _random_equality_db, "equality", seed, size
         )
 
 
 class TestFourTheoryMatrix:
-    """Compiled vs interpreted over conformance-generated cases.
+    """Engine vs reference over conformance-generated cases.
 
     Covers all four theories (dense order, equality, boolean, real
     polynomial) under both fixpoint orders and the generated case's own
@@ -169,28 +158,30 @@ class TestFourTheoryMatrix:
         spec = self._datalog_spec(theory_name, seed)
         if spec is None:
             return
-        fingerprints = set()
-        for options in (COMPILED, INTERPRETED):
-            for semi_naive in (True, False):
-                case = build_case(spec)
-                program = DatalogProgram(
-                    case.rules, case.theory, options=options
-                )
-                world, _stats = program.evaluate(
-                    case.database,
-                    semi_naive=semi_naive,
-                    semantics=spec.semantics,
-                )
-                fingerprints.add(
-                    frozenset(
-                        frozenset(t.atoms)
-                        for t in world.relation(spec.target)
-                    )
-                )
-        assert len(fingerprints) == 1, (
-            f"{theory_name} fixpoint depends on compile_rules (seed={seed}, "
-            f"{len(fingerprints)} distinct answers)"
-        )
+        case = build_case(spec)
+        expected = reference_fixpoint(
+            case.rules, case.theory, case.database, semantics=spec.semantics
+        ).relation(spec.target)
+        for semi_naive in (True, False):
+            case = build_case(spec)
+            program = DatalogProgram(case.rules, case.theory)
+            world, _stats = program.evaluate(
+                case.database,
+                semi_naive=semi_naive,
+                semantics=spec.semantics,
+            )
+            found = compare_relations(
+                expected,
+                world.relation(spec.target),
+                "reference",
+                "engine",
+                spec.theory,
+                spec.m,
+            )
+            assert found is None, (
+                f"{theory_name} (seed={seed}, semi_naive={semi_naive}): "
+                f"{found.describe()}"
+            )
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000))
@@ -211,33 +202,3 @@ class TestFourTheoryMatrix:
     @given(st.integers(0, 10_000))
     def test_real_poly(self, seed):
         self._assert_matrix("real_poly", seed)
-
-
-class TestBudgetedEquivalence:
-    """Fringe degradation under budgets is identical compiled vs not."""
-
-    def _chain_db(self, theory, n):
-        db = GeneralizedDatabase(theory)
-        edge = db.create_relation("E", ("x", "y"))
-        for i in range(n):
-            edge.add_point([i, i + 1])
-        return db
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(5, 40), st.integers(8, 20))
-    def test_fringe_partial_results_match(self, joins, size):
-        budget = Budget(joins=joins, partial_results="fringe")
-        worlds = []
-        for base in (COMPILED, INTERPRETED):
-            theory = DenseOrderTheory()
-            options = replace(base, budget=budget)
-            program = DatalogProgram(
-                parse_rules(POSITIVE_RULES, theory=theory),
-                theory,
-                options=options,
-            )
-            world, stats = program.evaluate(self._chain_db(theory, size))
-            worlds.append(_fingerprint(world, ("T",)))
-        # same ticks -> the budget trips at the same point -> the sound
-        # under-approximations are the same set of tuples
-        assert worlds[0] == worlds[1]

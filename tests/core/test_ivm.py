@@ -382,6 +382,53 @@ class TestStats:
         assert view.last_stats.ivm_inserts == 1
         view.close()
 
+    def test_total_stats_keep_materialization_cache_traffic(self):
+        theory = _theory()
+        chain = [(i, i + 1) for i in range(8)]
+        view = MaterializedView(_program(TC_RULES, theory), _db(theory, E=chain))
+        assert view.last_stats.theory_cache_hits > 0
+        assert view.total_stats.theory_cache_hits == view.last_stats.theory_cache_hits
+        assert (
+            view.total_stats.theory_cache_misses
+            == view.last_stats.theory_cache_misses
+        )
+        view.close()
+
+    def test_apply_reports_its_cache_traffic(self):
+        theory = _theory()
+        chain = [(i, i + 1) for i in range(8)]
+        view = MaterializedView(_program(TC_RULES, theory), _db(theory, E=chain))
+        before = theory.cache.stats.snapshot()
+        stats = view.insert("E", _point(8, 9))
+        hits, misses = theory.cache.stats.snapshot()
+        assert hits + misses > before[0] + before[1]
+        assert (stats.theory_cache_hits, stats.theory_cache_misses) == (
+            hits - before[0],
+            misses - before[1],
+        )
+        view.close()
+
+    def test_recompute_counts_cache_traffic_once(self):
+        # inflationary programs re-evaluate on every batch: the inner
+        # evaluate's own stats are merged in, yet the call's cache traffic
+        # must be reported exactly once
+        theory = _theory()
+        view = MaterializedView(
+            _program(NEGATION_RULES, theory),
+            _db(theory, E=[(0, 1), (1, 2)], F=[(0, 2), (2, 0)]),
+            semantics="inflationary",
+        )
+        assert view.mode == "recompute"
+        before = theory.cache.stats.snapshot()
+        stats = view.insert("E", _point(2, 0))
+        hits, misses = theory.cache.stats.snapshot()
+        assert stats.ivm_recomputed_strata == 1
+        assert (stats.theory_cache_hits, stats.theory_cache_misses) == (
+            hits - before[0],
+            misses - before[1],
+        )
+        view.close()
+
 
 class TestContextManager:
     def test_context_manager_closes(self):

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from repro.constraints.dense_order import DenseOrderTheory
-from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats
+from repro.core.compile import plan_order
+from repro.core.datalog import DatalogProgram, EngineOptions
 from repro.core.generalized import GeneralizedDatabase
 from repro.logic.parser import parse_rules
 from repro.logic.syntax import RelationAtom
@@ -21,8 +22,7 @@ def _program(rules_text, **options):
 
 class TestPlanOrder:
     def _plan(self, atoms, sizes, pinned=()):
-        program = _program("T(x, y) :- E(x, y).")
-        return program._plan(atoms, sizes, set(pinned), EvaluationStats())
+        return plan_order([atom.args for atom in atoms], sizes, set(pinned))
 
     def test_smaller_source_first_when_disconnected(self):
         atoms = [RelationAtom("A", ("x", "y")), RelationAtom("B", ("u", "v"))]
@@ -49,9 +49,10 @@ class TestPlanOrder:
         assert self._plan(atoms, [5, 5]) == [0, 1]
 
     def test_single_atom_not_counted_as_plan(self):
-        stats = EvaluationStats()
-        program = _program("T(x, y) :- E(x, y).")
-        assert program._plan([RelationAtom("E", ("x", "y"))], [9], set(), stats) == [0]
+        assert self._plan([RelationAtom("E", ("x", "y"))], [9]) == [0]
+        db = GeneralizedDatabase(theory)
+        db.create_relation("E", ("x", "y")).add_point([Fraction(0), Fraction(1)])
+        _world, stats = _program("T(x, y) :- E(x, y).").evaluate(db)
         assert stats.plans_built == 0
 
 
