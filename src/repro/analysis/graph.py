@@ -15,7 +15,7 @@ imports the closure pass back): rules are consumed through the structural
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 
 @runtime_checkable
@@ -138,17 +138,23 @@ def build_dependency_graph(rules: Sequence[RuleLike]) -> DependencyGraph:
         positive_edges=frozenset(positive),
         negative_edges=frozenset(negative),
     )
-    graph.sccs = _tarjan(graph.nodes, graph.edges)
+    graph.sccs = strongly_connected_components(graph.nodes, graph.edges)
     graph._scc_index = {
         name: index for index, scc in enumerate(graph.sccs) for name in scc
     }
     return graph
 
 
-def _tarjan(
-    nodes: Sequence[str], edges: frozenset[tuple[str, str]]
+def strongly_connected_components(
+    nodes: Sequence[str], edges: Iterable[tuple[str, str]]
 ) -> tuple[tuple[str, ...], ...]:
-    """Iterative Tarjan SCCs, emitted callees-first (reverse topological)."""
+    """Iterative Tarjan SCCs, emitted callees-first (reverse topological).
+
+    Roots are tried in ``nodes`` order and successors in sorted order, so
+    the output is a function of the arguments alone; each component is
+    sorted.  Every edge must join two of ``nodes``.  No recursion, so the
+    depth of a rule chain is not bounded by the interpreter's stack.
+    """
     adjacency: dict[str, list[str]] = {node: [] for node in nodes}
     for a, b in sorted(edges):
         adjacency[a].append(b)

@@ -4,23 +4,28 @@ This is the engine's rule join -- the one implementation of the paper's
 rule firing (Section 1.2; Theorems 3.14.2 / 4.11.2): conjoin the body
 tuples' constraints, test satisfiability, eliminate the body-only
 variables, canonicalize.  A generic join would re-decide, per candidate
-tuple, which access path to use, whether the pin filter applies, and
-which generic :class:`~repro.constraints.base.ConstraintTheory` entry
-points to call.  That per-tuple dispatch is pure overhead for the
-workloads the paper's closed-form results describe (Section 1.3: fixed
-programs evaluate in PTIME data complexity, so the per-tuple work should
-be a constant decided once per rule, not re-derived per tuple).
+tuple, which access path to use and which generic
+:class:`~repro.constraints.base.ConstraintTheory` entry points to call.
+That per-tuple dispatch is pure overhead for the workloads the paper's
+closed-form results describe (Section 1.3: fixed programs evaluate in
+PTIME data complexity, so the per-tuple work should be a constant decided
+once per rule, not re-derived per tuple).
 
 This module lowers each (rule, delta slot, join order) triple into a chain
 of specialized Python closures -- one step per positive body atom plus a
-leaf -- with the decisions baked in at lowering time:
+leaf -- with the decisions baked in at lowering time.  Two layers are not
+decisions but constants of the join: every step rejects a candidate whose
+``var = const`` pins conflict with the pins accumulated so far (one pin
+map threads the chain), and a negated relation's complement DNF is
+memoized per content version.  The decisions are:
 
 * the join order (the greedy selectivity planner -- see
   :func:`plan_order` -- re-run per rule and round);
-* the access path per step (probe of the relation's generalized 1-d
-  index, gated by :class:`~repro.indexing.pool.JoinIndexPool`, vs. renamed
-  scan list), with probe results memoized per relation content version;
-* the pinned-constant filter, when :class:`EngineOptions` enables it;
+* the access path per step: a probe of the relation's own generalized 1-d
+  index (:meth:`GeneralizedRelation.index`) when the step is not the
+  delta slot, ``index_probes`` is on and the theory is dense order, else
+  the renamed scan list; probe results are memoized per relation content
+  version;
 * the delta-restriction slot of the semi-naive rounds;
 * theory-specific satisfiability/canonicalization fast paths: a candidate
   tuple whose constraint is a conjunction of ``var = const`` pins (the
@@ -219,8 +224,6 @@ def _complement_dnf(
     theory: "ConstraintTheory",
 ) -> list[tuple[Atom, ...]]:
     """Complement DNF of a negated atom, cached per content version."""
-    if caches.complement is None:
-        return relation_complement_dnf(relation, atom.args, theory)
     key = (atom.name, atom.args, relation.version)
     cached = caches.complement.get(key)
     if cached is None:
@@ -239,7 +242,6 @@ class _FiringState:
     __slots__ = (
         "stats",
         "caches",
-        "pool",
         "results",
         "relations",
         "delta_lists",
@@ -257,7 +259,6 @@ class _FiringState:
     ) -> None:
         self.stats = stats
         self.caches = caches
-        self.pool = caches.pool
         self.results: list[tuple[str, GeneralizedTuple]] = []
         self.relations = relations  # per slot: GeneralizedRelation | None
         self.delta_lists = delta_lists  # per slot: list of delta tuples | None
@@ -300,13 +301,6 @@ class CompiledRule:
         )
         self.root_kind = _classify(
             self.constraints, self.root_pin_map, self.pointwise
-        )
-        #: shared, never-mutated root dicts (children merge into fresh dicts)
-        self._root_fpins: dict[str, Any] | None = (
-            self.root_pin_map if options.pin_filter else None
-        )
-        self._root_ppins: dict[str, Any] | None = (
-            self.root_pin_map if self.root_kind == POINT else None
         )
         self._variants: dict[tuple[int | None, tuple[int, ...]], Any] = {}
         self._irs: dict[tuple[int | None, tuple[int, ...]], RuleIR] = {}
@@ -460,6 +454,13 @@ class CompiledRule:
         drop = self.drop
         make_equality = theory.equality
         make_constant = theory.constant
+        # a step probes its relation's index iff it is not the delta slot,
+        # probing is on and the theory has interval keys (dense order)
+        dense = isinstance(unwrap_theory(theory), DenseOrderTheory)
+        probing = [
+            options.index_probes and dense and position != delta_position
+            for position in order
+        ]
 
         # ------------------------------------------------------------- leaf
         point_leaf = (
@@ -471,9 +472,9 @@ class CompiledRule:
             def leaf(
                 state: _FiringState,
                 atoms: tuple[Atom, ...],
-                ppins: dict[str, Any] | None,
+                pins: dict[str, Any],
+                point: bool,
                 solver: Any,
-                fpins: dict[str, Any] | None,
             ) -> None:
                 stats = state.stats
                 results = state.results
@@ -496,13 +497,13 @@ class CompiledRule:
             def leaf(
                 state: _FiringState,
                 atoms: tuple[Atom, ...],
-                ppins: dict[str, Any] | None,
+                pins: dict[str, Any],
+                point: bool,
                 solver: Any,
-                fpins: dict[str, Any] | None,
             ) -> None:
                 stats = state.stats
                 stats.rule_firings += 1
-                if ppins is not None and point_leaf:
+                if point and point_leaf:
                     # all-pins match: elimination of the dropped variables
                     # from a consistent ground pin set is exactly the head
                     # variables' pins (one conjunction -- see module doc);
@@ -510,9 +511,9 @@ class CompiledRule:
                     stats.fastpath_leaves += 1
                     stats.tuples_derived += 1
                     emitted = tuple(
-                        make_equality(v, make_constant(ppins[v]))
+                        make_equality(v, make_constant(pins[v]))
                         for v in head_vars
-                        if v in ppins
+                        if v in pins
                     )
                     state.results.append(
                         (head_name, GeneralizedTuple(head_vars, emitted))
@@ -532,76 +533,57 @@ class CompiledRule:
             args = atom.args
             nargs = tuple(enumerate(args))
             scan_key = (atom.name, args)
+            probes = probing[slot]
             compiled_rule = self
 
             def probe_records(
-                state: _FiringState,
-                ppins: dict[str, Any] | None,
-                solver: Any,
-                fpins: dict[str, Any] | None,
+                state: _FiringState, pins: dict[str, Any], solver: Any
             ) -> list[EntryRecord] | None:
                 """Index-backed candidates, or None to scan.
 
                 An exact pin wins (probe [c, c]), else the interval bounds
                 the incremental context forces on an argument variable --
                 only under the incremental join, where the context carries
-                solver state.  In point mode the context's bounds *are* the
-                pins (a ground closure bounds a pinned variable to its
-                constant and nothing else), so the dict lookup replaces the
-                solver query without changing the outcome.
+                solver state.  In point mode there is no context: its
+                bounds would *be* the pins (a ground closure bounds a
+                pinned variable to its constant and nothing else), which
+                the pin lookup already covered.  An empty relation, or no
+                bound at all, scans.
                 """
                 relation = state.relations[slot]
-                if relation is None or not relation:
+                if not relation:
                     return None
                 stats = state.stats
                 best = None
-                if fpins is not None:
+                for position, var in nargs:
+                    value = pins.get(var)
+                    if isinstance(value, Fraction):
+                        best = (position, value, value)
+                        break
+                if best is None and solver is not None:
                     for position, var in nargs:
-                        value = fpins.get(var)
-                        if isinstance(value, Fraction):
-                            best = (position, value, value)
+                        bounds = theory.conjunction_bounds(solver, var)
+                        if bounds is not None:
+                            best = (position, bounds[0], bounds[1])
                             break
-                if best is None and incremental:
-                    if ppins is not None:
-                        if fpins is None:
-                            for position, var in nargs:
-                                value = ppins.get(var)
-                                if isinstance(value, Fraction):
-                                    best = (position, value, value)
-                                    break
-                        # fpins already covered the same pins: nothing new
-                    elif solver is not None:
-                        for position, var in nargs:
-                            bounds = theory.conjunction_bounds(solver, var)
-                            if bounds is not None:
-                                best = (position, bounds[0], bounds[1])
-                                break
                 if best is None:
                     return None
                 position, low, high = best
                 cprobe = state.caches.cprobe
                 pkey = (atom.name, args, position, relation.version, low, high)
-                hit = cprobe.get(pkey) if cprobe is not None else None
+                hit = cprobe.get(pkey)
                 if hit is not None:
                     records, n_candidates, n_relation = hit
-                    if records is None:
-                        return None
                     stats.index_probes += 1
                     stats.index_candidates += n_candidates
                     stats.index_scan_avoided += n_relation - n_candidates
                     return records
-                candidates = state.pool.probe(
-                    relation, relation.variables[position], low, high
-                )
-                if candidates is None:
-                    if cprobe is not None:
-                        cprobe[pkey] = (None, 0, 0)
-                    return None
+                index = relation.index(relation.variables[position])
+                candidates = index.candidates(low, high)
                 records = compiled_rule._records_for(
                     atom, candidates, state.caches, stats
                 )
-                if cprobe is not None:
-                    cprobe[pkey] = (records, len(candidates), len(relation))
+                cprobe[pkey] = (records, len(candidates), len(relation))
                 stats.index_probes += 1
                 stats.index_candidates += len(candidates)
                 stats.index_scan_avoided += len(relation) - len(candidates)
@@ -636,52 +618,37 @@ class CompiledRule:
             def step(
                 state: _FiringState,
                 atoms: tuple[Atom, ...],
-                ppins: dict[str, Any] | None,
+                pins: dict[str, Any],
+                point: bool,
                 solver: Any,
-                fpins: dict[str, Any] | None,
             ) -> None:
                 stats = state.stats
-                entries = None
-                if state.pool is not None:
-                    entries = probe_records(state, ppins, solver, fpins)
+                entries = probe_records(state, pins, solver) if probes else None
                 if entries is None:
                     entries = scan_records(state)
                 for renamed, cpins, kind in entries:
                     stats.join_steps += 1
                     tick("join")
-                    if fpins is not None and cpins:
+                    if cpins:
                         conflict = False
                         for var, value in cpins.items():
-                            if fpins.get(var, value) != value:
+                            if pins.get(var, value) != value:
                                 conflict = True
                                 break
                         if conflict:
                             stats.pin_prunes += 1
                             stats.join_prunes += 1
                             continue
-                        child_fpins = {**fpins, **cpins}
+                        child_pins = {**pins, **cpins}
                     else:
-                        child_fpins = fpins
-                    if ppins is not None and kind == POINT:
+                        child_pins = pins
+                    if point and kind == POINT:
                         # pointwise extension: satisfiability of a ground
-                        # pin set is pin consistency, so the solver is
-                        # skipped outright -- same accept/reject outcome,
-                        # same candidate enumeration, cheaper decision
-                        if child_fpins is not None:
-                            child_ppins = child_fpins
-                        else:
-                            consistent = True
-                            for var, value in cpins.items():
-                                if ppins.get(var, value) != value:
-                                    consistent = False
-                                    break
-                            if not consistent:
-                                stats.join_prunes += 1
-                                continue
-                            child_ppins = {**ppins, **cpins} if cpins else ppins
-                        next_call(
-                            state, atoms + renamed, child_ppins, None, child_fpins
-                        )
+                        # pin set is pin consistency, which the pin check
+                        # above just decided, so the solver is skipped
+                        # outright -- same accept/reject outcome, same
+                        # candidate enumeration, cheaper decision
+                        next_call(state, atoms + renamed, child_pins, True, None)
                         continue
                     if incremental:
                         if solver is None:
@@ -696,14 +663,14 @@ class CompiledRule:
                         if not child.satisfiable:
                             stats.join_prunes += 1
                             continue
-                        next_call(state, child.atoms, None, child, child_fpins)
+                        next_call(state, child.atoms, child_pins, False, child)
                     else:
                         candidate = atoms + renamed
                         stats.sat_checks += 1
                         if not theory.is_satisfiable(candidate):
                             stats.join_prunes += 1
                             continue
-                        next_call(state, candidate, None, None, child_fpins)
+                        next_call(state, candidate, child_pins, False, None)
 
             return step
 
@@ -712,14 +679,14 @@ class CompiledRule:
             chain = make_step(slot, chain)
 
         # -------------------------------------------------------------- root
-        root_fpins = self._root_fpins
-        root_ppins = self._root_ppins
+        #: shared, never-mutated root pins (children merge into fresh dicts)
+        root_pins = self.root_pin_map
         root_point = self.root_kind == POINT
 
         def run(state: _FiringState) -> None:
             state.stats.sat_checks += 1
             if root_point:
-                chain(state, constraints, root_ppins, None, root_fpins)
+                chain(state, constraints, root_pins, True, None)
                 return
             if incremental:
                 ctx = self._root_ctx
@@ -727,33 +694,27 @@ class CompiledRule:
                     ctx = theory.begin_conjunction(constraints)
                     self._root_ctx = ctx
                 if ctx.satisfiable:
-                    chain(state, constraints, None, ctx, root_fpins)
+                    chain(state, constraints, root_pins, False, ctx)
             else:
                 sat = self._root_sat
                 if sat is None:
                     sat = theory.is_satisfiable(constraints)
                     self._root_sat = sat
                 if sat:
-                    chain(state, constraints, None, None, root_fpins)
+                    chain(state, constraints, root_pins, False, None)
 
         # ----------------------------------------------------------------- IR
         bound: set[str] = set(self.root_pin_map)
         steps = []
         for slot, atom in enumerate(plan_atoms):
             position = order[slot]
-            is_delta = delta_position is not None and position == delta_position
-            probeable = (
-                not is_delta
-                and options.index_probes
-                and isinstance(unwrap_theory(theory), DenseOrderTheory)
-            )
             steps.append(
                 StepIR(
                     slot=slot,
                     position=position,
                     atom=str(atom),
-                    source="delta" if is_delta else "relation",
-                    access="probe-or-scan" if probeable else "scan",
+                    source="delta" if position == delta_position else "relation",
+                    access="probe-or-scan" if probing[slot] else "scan",
                     bound_before=tuple(sorted(bound)),
                 )
             )
@@ -829,10 +790,11 @@ class PlanCache:
       closures capture the theory object (its caches, its chaos wrapper),
       so a different instance must never share closures; every cached
       entry holds a strong reference to its theory, keeping the id valid;
-    * the *options* signature pins the specialization -- closures bake in
-      ``pin_filter``/``incremental_join``/``index_probes`` decisions, so a
-      fingerprint re-fetched under different options *invalidates* the
-      stale entry (counted, surfaced through ``EvaluationStats``).
+    * the *options* signature pins the specialization -- a compiled rule
+      bakes in its ``incremental_join``/``index_probes``/``join_planner``
+      settings, so a fingerprint re-fetched under different options
+      *invalidates* the stale entry (counted, surfaced through
+      ``EvaluationStats``).
 
     Adorned programs built by the magic-set query path fingerprint like
     any other program: the rewrite puts binding *values* in the seeded

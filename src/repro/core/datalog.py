@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterable, Sequence
 
+from repro.analysis.graph import build_dependency_graph
 from repro.constraints.base import ConstraintTheory, TheoryCache
 from repro.core import compile as rulecompile
 from repro.core.generalized import GeneralizedDatabase, GeneralizedTuple
@@ -42,7 +43,6 @@ from repro.errors import (
     NotClosedError,
     StaticAnalysisError,
 )
-from repro.indexing.pool import JoinIndexPool
 from repro.logic.syntax import Atom, Not, RelationAtom
 from repro.runtime.budget import Budget, active_meter, metered, tick
 
@@ -133,20 +133,14 @@ class EngineOptions:
     #: extend the parent conjunction's solver state in the depth-first join
     #: instead of re-deciding the whole partial conjunction at every level
     incremental_join: bool = True
-    #: cache the complement DNF of negated relations per (name, version)
-    complement_cache: bool = True
-    #: reject join candidates whose pinned constants conflict with the
-    #: partial conjunction before consulting the solver at all
-    pin_filter: bool = True
     #: reorder each rule's positive atoms by estimated selectivity before
     #: the depth-first join, re-planned every round (delta/relation sizes
     #: change between rounds, so the best order does too)
     join_planner: bool = True
     #: probe the relations' generalized 1-d indexes
-    #: (:meth:`GeneralizedRelation.index`, gated by
-    #: :class:`repro.indexing.pool.JoinIndexPool`) when the partial
-    #: conjunction pins or interval-bounds a join variable, instead of
-    #: scanning the full renamed choice list
+    #: (:meth:`GeneralizedRelation.index`; dense order only) when the
+    #: partial conjunction pins or interval-bounds a join variable, instead
+    #: of scanning the full renamed choice list
     index_probes: bool = True
     #: run the containment-based semantic optimizer
     #: (:mod:`repro.analysis.semantic`) at program construction: subsumed
@@ -182,8 +176,6 @@ class EngineOptions:
             theory_cache=False,
             rename_cache=False,
             incremental_join=False,
-            complement_cache=False,
-            pin_filter=False,
             join_planner=False,
             index_probes=False,
             optimize_semantic=False,
@@ -194,8 +186,6 @@ class EngineOptions:
             "theory_cache": self.theory_cache,
             "rename_cache": self.rename_cache,
             "incremental_join": self.incremental_join,
-            "complement_cache": self.complement_cache,
-            "pin_filter": self.pin_filter,
             "join_planner": self.join_planner,
             "index_probes": self.index_probes,
             "optimize_semantic": self.optimize_semantic,
@@ -409,10 +399,6 @@ class _EvalCaches:
     ``complement`` maps (relation name, args, content version) to the
     complement DNF, so unchanged relations are never recomplemented.
 
-    ``pool`` is the evaluation's :class:`JoinIndexPool` (None when index
-    probing is off or the theory has no generalized index).  The indexes
-    themselves live on the relations and outlast the evaluation.
-
     ``centries`` (classified entry records per tuple), ``cscan`` (scan lists
     per relation content version) and ``cprobe`` (probe results per content
     version) are the compiled join's per-evaluation caches.
@@ -422,7 +408,6 @@ class _EvalCaches:
         "rules",
         "program_rules",
         "complement",
-        "pool",
         "centries",
         "cscan",
         "cprobe",
@@ -430,16 +415,12 @@ class _EvalCaches:
 
     def __init__(self, program: "DatalogProgram", stats: EvaluationStats) -> None:
         options = program.options
-        self.complement: dict | None = {} if options.complement_cache else None
-        self.pool: JoinIndexPool | None = None
-        if options.index_probes:
-            pool = JoinIndexPool(program.theory)
-            self.pool = pool if pool.supported else None
+        self.complement: dict = {}
         # entry/scan caches honor the rename-cache ablation flag; the probe
         # cache is version-keyed and always safe
         self.centries: dict | None = {} if options.rename_cache else None
         self.cscan: dict | None = {} if options.rename_cache else None
-        self.cprobe: dict | None = {}
+        self.cprobe: dict = {}
         started = time.perf_counter()
         compiled, hit, invalidated = rulecompile.PLAN_CACHE.fetch(program)
         self.program_rules = tuple(program.rules)
@@ -535,36 +516,9 @@ class DatalogProgram:
                 arities[atom.name] = len(atom.args)
         self.arities = arities
 
-    def dependency_edges(self) -> set[tuple[str, str]]:
-        """(head, body-predicate) edges over IDB predicates."""
-        idbs = self.idb_predicates()
-        edges = set()
-        for rule in self.rules:
-            for atom in rule.positive_atoms + rule.negative_atoms:
-                if atom.name in idbs:
-                    edges.add((rule.head.name, atom.name))
-        return edges
-
     def is_recursive(self) -> bool:
-        """Whether the IDB dependency graph has a cycle."""
-        edges = self.dependency_edges()
-        graph: dict[str, set[str]] = {}
-        for a, b in edges:
-            graph.setdefault(a, set()).add(b)
-        state: dict[str, int] = {}
-
-        def visit(node: str) -> bool:
-            state[node] = 1
-            for succ in graph.get(node, ()):
-                mark = state.get(succ, 0)
-                if mark == 1:
-                    return True
-                if mark == 0 and visit(succ):
-                    return True
-            state[node] = 2
-            return False
-
-        return any(state.get(node, 0) == 0 and visit(node) for node in graph)
+        """Whether the predicate dependency graph has a cycle."""
+        return build_dependency_graph(self.rules).is_recursive()
 
     def has_negation(self) -> bool:
         return any(rule.has_negation() for rule in self.rules)
@@ -657,17 +611,15 @@ class DatalogProgram:
         if not self.has_negation():
             if semi_naive:
                 return self._evaluate_semi_naive(database, max_iterations)
-            return self._evaluate_naive(database, max_iterations)
-        if semantics == "inflationary":
-            return self._evaluate_inflationary(database, max_iterations)
-        strata = self.stratify()
+            return self._evaluate_strata(database, [self.rules], max_iterations)
+        strata = None if semantics == "inflationary" else self.stratify()
         if strata is None:
             if semantics == "stratified":
                 raise EvaluationError(
                     "program is not stratifiable (negation through recursion)"
                 )
-            return self._evaluate_inflationary(database, max_iterations)
-        return self._evaluate_stratified(database, strata, max_iterations)
+            strata = [self.rules]  # inflationary: one stratum of every rule
+        return self._evaluate_strata(database, strata, max_iterations)
 
     def stratify(self) -> list[list[Rule]] | None:
         """Partition rules into strata, or None if not stratifiable.
@@ -709,32 +661,24 @@ class DatalogProgram:
             buckets.setdefault(stratum[rule.head.name], []).append(rule)
         return [buckets[level] for level in sorted(buckets)]
 
-    def _evaluate_stratified(
+    def _evaluate_strata(
         self,
         database: GeneralizedDatabase,
         strata: list[list[Rule]],
         max_iterations: int,
     ) -> tuple[GeneralizedDatabase, EvaluationStats]:
+        """Run :meth:`_rounds` on each stratum in turn, bottom-up.
+
+        Naive and inflationary evaluation are one stratum holding every
+        rule; stratified evaluation brings each stratum to its fixpoint
+        before the next one reads it.
+        """
         world = self._prepare(database)
         stats = EvaluationStats()
         caches = _EvalCaches(self, stats)
         try:
             for stratum_rules in strata:
-                while True:
-                    stats.iterations += 1
-                    if stats.iterations > max_iterations:
-                        raise self._diverged(max_iterations, world)
-                    tick("round")
-                    tasks = [(rule, None, None) for rule in stratum_rules]
-                    derived = self._execute_round(tasks, world, stats, caches)
-                    new_count = 0
-                    for name, item in derived:
-                        if world.relation(name).add(item):
-                            new_count += 1
-                            stats.tuples_added += 1
-                    stats.per_round_new.append(new_count)
-                    if new_count == 0:
-                        break
+                self._rounds(stratum_rules, world, stats, caches, max_iterations)
         except BudgetExceededError as error:
             return self._budget_interrupt(error, world, stats)
         return world, stats
@@ -798,30 +742,33 @@ class DatalogProgram:
         stats.budget = report.as_dict() if report is not None else {}
         return world, stats
 
-    def _evaluate_naive(
-        self, database: GeneralizedDatabase, max_iterations: int
-    ) -> tuple[GeneralizedDatabase, EvaluationStats]:
-        world = self._prepare(database)
-        stats = EvaluationStats()
-        caches = _EvalCaches(self, stats)
-        try:
-            while True:
-                stats.iterations += 1
-                if stats.iterations > max_iterations:
-                    raise self._diverged(max_iterations, world)
-                tick("round")
-                new_count = 0
-                tasks = [(rule, None, None) for rule in self.rules]
-                derived = self._execute_round(tasks, world, stats, caches)
-                for name, item in derived:
-                    if world.relation(name).add(item):
-                        new_count += 1
-                        stats.tuples_added += 1
-                stats.per_round_new.append(new_count)
-                if new_count == 0:
-                    return world, stats
-        except BudgetExceededError as error:
-            return self._budget_interrupt(error, world, stats)
+    def _rounds(
+        self,
+        rules: Sequence[Rule],
+        world: GeneralizedDatabase,
+        stats: EvaluationStats,
+        caches: _EvalCaches,
+        max_iterations: int,
+    ) -> None:
+        """Fire every rule against the whole world, round after round,
+        until a round adds nothing (semi-naive has its own delta loop)."""
+        tasks: list[tuple[Rule, dict | None, int | None]] = [
+            (rule, None, None) for rule in rules
+        ]
+        while True:
+            stats.iterations += 1
+            if stats.iterations > max_iterations:
+                raise self._diverged(max_iterations, world)
+            tick("round")
+            derived = self._execute_round(tasks, world, stats, caches)
+            new_count = 0
+            for name, item in derived:
+                if world.relation(name).add(item):
+                    new_count += 1
+                    stats.tuples_added += 1
+            stats.per_round_new.append(new_count)
+            if new_count == 0:
+                return
 
     def _evaluate_semi_naive(
         self, database: GeneralizedDatabase, max_iterations: int
@@ -888,31 +835,6 @@ class DatalogProgram:
             first_round = False
             if new_count == 0:
                 return world, stats
-
-    def _evaluate_inflationary(
-        self, database: GeneralizedDatabase, max_iterations: int
-    ) -> tuple[GeneralizedDatabase, EvaluationStats]:
-        world = self._prepare(database)
-        stats = EvaluationStats()
-        caches = _EvalCaches(self, stats)
-        try:
-            while True:
-                stats.iterations += 1
-                if stats.iterations > max_iterations:
-                    raise self._diverged(max_iterations, world)
-                tick("round")
-                tasks = [(rule, None, None) for rule in self.rules]
-                derived = self._execute_round(tasks, world, stats, caches)
-                new_count = 0
-                for name, item in derived:
-                    if world.relation(name).add(item):
-                        new_count += 1
-                        stats.tuples_added += 1
-                stats.per_round_new.append(new_count)
-                if new_count == 0:
-                    return world, stats
-        except BudgetExceededError as error:
-            return self._budget_interrupt(error, world, stats)
 
     # -------------------------------------------------------- round execution
     def _execute_round(

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.analysis.graph import strongly_connected_components
 from repro.constraints.base import ConstraintTheory
 from repro.core.datalog import Rule
 from repro.core.generalized import (
@@ -37,46 +38,18 @@ from repro.logic.syntax import Atom, RelationAtom
 
 
 def mutually_recursive_groups(rules: Sequence[Rule]) -> list[set[str]]:
-    """Strongly connected components of the IDB dependency graph."""
+    """Strongly connected components of the positive IDB dependency graph."""
     idbs = {rule.head.name for rule in rules}
-    graph: dict[str, set[str]] = {name: set() for name in idbs}
-    for rule in rules:
-        for atom in rule.positive_atoms:
-            if atom.name in idbs:
-                graph[rule.head.name].add(atom.name)
-    # Tarjan SCC
-    counter = [0]
-    stack: list[str] = []
-    lowlink: dict[str, int] = {}
-    index: dict[str, int] = {}
-    on_stack: dict[str, bool] = {}
-    components: list[set[str]] = []
-
-    def strongconnect(node: str) -> None:
-        index[node] = lowlink[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack[node] = True
-        for succ in graph[node]:
-            if succ not in index:
-                strongconnect(succ)
-                lowlink[node] = min(lowlink[node], lowlink[succ])
-            elif on_stack.get(succ):
-                lowlink[node] = min(lowlink[node], index[succ])
-        if lowlink[node] == index[node]:
-            component = set()
-            while True:
-                member = stack.pop()
-                on_stack[member] = False
-                component.add(member)
-                if member == node:
-                    break
-            components.append(component)
-
-    for node in graph:
-        if node not in index:
-            strongconnect(node)
-    return components
+    edges = {
+        (rule.head.name, atom.name)
+        for rule in rules
+        for atom in rule.positive_atoms
+        if atom.name in idbs
+    }
+    return [
+        set(component)
+        for component in strongly_connected_components(sorted(idbs), edges)
+    ]
 
 
 def is_piecewise_linear(rules: Sequence[Rule]) -> bool:

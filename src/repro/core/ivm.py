@@ -55,6 +55,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
+from repro.analysis.graph import strongly_connected_components
 from repro.constraints.base import ConstraintTheory
 from repro.core.datalog import (
     DatalogProgram,
@@ -909,49 +910,19 @@ class MaterializedView:
 
         Tarjan's algorithm emits SCCs in topological order of the
         condensation with successors (body predicates) first -- exactly the
-        bottom-up maintenance order.  Iteration is over sorted names, so
-        the order is deterministic.
+        bottom-up maintenance order.  Roots and successors are visited in
+        sorted order, so the order is deterministic; the walk is iterative,
+        so a deep rule chain does not exhaust the interpreter's stack.
         """
         idbs = self._idbs
-        graph: dict[str, set[str]] = {p: set() for p in idbs}
-        for rule in self.program.rules:
-            for atom in rule.positive_atoms + rule.negative_atoms:
-                if atom.name in idbs:
-                    graph[rule.head.name].add(atom.name)
-        order: list[list[str]] = []
-        index_of: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = [0]
-
-        def strongconnect(node: str) -> None:
-            index_of[node] = low[node] = counter[0]
-            counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            for succ in sorted(graph[node]):
-                if succ not in index_of:
-                    strongconnect(succ)
-                    low[node] = min(low[node], low[succ])
-                elif succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
-            if low[node] == index_of[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                order.append(sorted(component))
-
-        for node in sorted(idbs):
-            if node not in index_of:
-                strongconnect(node)
-
+        edges = {
+            (rule.head.name, atom.name)
+            for rule in self.program.rules
+            for atom in rule.positive_atoms + rule.negative_atoms
+            if atom.name in idbs
+        }
         strata: list[_Stratum] = []
-        for component in order:
+        for component in strongly_connected_components(sorted(idbs), edges):
             preds = frozenset(component)
             rules = [r for r in self.program.rules if r.head.name in preds]
             recursive = len(component) > 1 or any(

@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence, cast
 
+from repro.analysis.graph import build_dependency_graph
 from repro.constraints.base import ConstraintTheory
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.generalized import GeneralizedDatabase, GeneralizedRelation
@@ -414,35 +415,6 @@ class MagicPlan:
     full_fallback: bool = False
 
 
-def _stratifiable(rules: Sequence[Rule]) -> bool:
-    """Ullman's stratum-number iteration (no negative cycle)."""
-    idbs = {rule.head.name for rule in rules}
-    positive: set[tuple[str, str]] = set()
-    negative: set[tuple[str, str]] = set()
-    for rule in rules:
-        for atom in rule.positive_atoms:
-            if atom.name in idbs:
-                positive.add((rule.head.name, atom.name))
-        for atom in rule.negative_atoms:
-            if atom.name in idbs:
-                negative.add((rule.head.name, atom.name))
-    stratum = {name: 0 for name in idbs}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in positive:
-            if stratum[head] < stratum[body]:
-                stratum[head] = stratum[body]
-                changed = True
-        for head, body in negative:
-            if stratum[head] < stratum[body] + 1:
-                stratum[head] = stratum[body] + 1
-                changed = True
-        if any(level > len(idbs) for level in stratum.values()):
-            return False
-    return True
-
-
 def _negation_cone(rules: Sequence[Rule]) -> set[str]:
     """IDB predicates whose derivation requires full evaluation: heads of
     negated-body rules plus everything they (transitively) depend on.
@@ -521,7 +493,8 @@ def magic_plan(
     )
     has_negation = any(rule.has_negation() for rule in relevant)
     if has_negation and (
-        semantics == "inflationary" or not _stratifiable(relevant)
+        semantics == "inflationary"
+        or not build_dependency_graph(relevant).is_stratifiable()
     ):
         return full
     cone = _negation_cone(relevant) if has_negation else set()

@@ -86,11 +86,11 @@ class TestEngineCommand:
         output = run([".engine"])
         assert "join_planner=on" in output
         assert "index_probes=on" in output
-        assert "pin_filter=on" in output
+        assert "rename_cache=on" in output
 
     def test_toggle_and_run(self):
         output = run([
-            ".engine index_probes=off pin_filter=off",
+            ".engine index_probes=off rename_cache=off",
             ".engine",
             ".relation E(x, y)",
             ".point E: 0, 1",
@@ -100,7 +100,7 @@ class TestEngineCommand:
             ".run",
         ])
         assert "index_probes=off" in output
-        assert "pin_filter=off" in output
+        assert "rename_cache=off" in output
         assert "fixpoint in" in output
 
     def test_all_off_and_all_on(self):
@@ -118,10 +118,10 @@ class TestEngineCommand:
         out = io.StringIO()
         shell = Shell(out=out)
         shell.handle(".engine index_probes=off bogus=on")
-        shell.handle(".engine pin_filter=off parallel=off")
+        shell.handle(".engine rename_cache=off parallel=off")
         assert out.getvalue().count("usage: .engine") == 2
         assert shell.engine.index_probes is True
-        assert shell.engine.pin_filter is True
+        assert shell.engine.rename_cache is True
 
     def test_reports_plan_cache_state(self):
         from repro.core.compile import PLAN_CACHE

@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.conformance.reference import reference_fixpoint
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
 from repro.core.compile import PLAN_CACHE, PlanCache, render_plan
@@ -87,7 +88,7 @@ class TestPlanCache:
         assert (stats.compile_hits, stats.compile_misses) == (0, 1)
 
     def test_options_change_invalidates_stale_closures(self):
-        # the stale-closure hazard: closures bake in probe/filter choices,
+        # the stale-closure hazard: closures bake in probe choices,
         # so an EngineOptions change between evaluations must evict and
         # re-lower, never reuse
         theory = DenseOrderTheory()
@@ -152,6 +153,34 @@ class TestCompiledFiringStats:
         theory = EqualityTheory()
         _, stats = _program(theory).evaluate(_chain_db(theory, 5))
         assert stats.fastpath_leaves > 0
+
+
+class TestPinPrefilter:
+    """The pin check runs before the solver in general-mode joins too."""
+
+    # the ``x != y`` atom keeps the recursive rule off the point fast path
+    CYCLE_RULES = """
+    T(x, y) :- E(x, y).
+    T(x, y) :- T(x, z), E(z, y), x != y.
+    """
+
+    def test_pins_prune_general_mode_candidates(self):
+        theory = EqualityTheory()
+        db = GeneralizedDatabase(theory)
+        edge = db.create_relation("E", ("x", "y"))
+        for i in range(24):
+            edge.add_point([i, (i + 1) % 24])
+        world, stats = _program(theory, rules_text=self.CYCLE_RULES).evaluate(db)
+        assert stats.pin_prunes > 0
+        # only candidates whose pins agree reach the closure (1,104 of
+        # 13,824 join steps): everything else is a dictionary comparison
+        assert stats.closure_extensions * 5 <= stats.join_steps
+        expected = reference_fixpoint(
+            parse_rules(self.CYCLE_RULES, theory=theory), theory, db
+        )
+        assert set(world.relation("T").keys()) == set(
+            expected.relation("T").keys()
+        )
 
 
 class TestStatsMerge:

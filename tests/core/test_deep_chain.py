@@ -1,0 +1,59 @@
+"""Deep rule chains: every dependency-graph walk is iterative.
+
+The chain ``Q0000(x) :- Q0001(x).`` ... ``Q1199(x) :- Q1200(x).`` is deeper
+than the interpreter's default recursion limit (1,000 frames), so a
+recursive depth-first walk over its dependency graph raises
+``RecursionError`` whenever it enters the chain near the top.  The view's
+strata, the fringe module's mutually recursive groups and
+``DatalogProgram.is_recursive`` all walk the graph through the iterative
+:func:`repro.analysis.graph.strongly_connected_components` (whose own
+deep-chain test is in ``tests/analysis/test_graph.py``).
+"""
+
+from fractions import Fraction
+
+from repro.constraints.dense_order import DenseOrderTheory
+from repro.core import DatalogProgram, GeneralizedDatabase, MaterializedView
+from repro.core.fringe import mutually_recursive_groups
+from repro.logic.parser import parse_rules
+
+DEPTH = 1200
+TOP, BOTTOM = "Q0000", f"Q{DEPTH:04d}"
+
+
+def _chain_text():
+    return "\n".join(f"Q{i:04d}(x) :- Q{i + 1:04d}(x)." for i in range(DEPTH))
+
+
+def _rules(theory, text):
+    return parse_rules(text, theory=theory)
+
+
+def test_is_recursive_on_a_deep_chain():
+    theory = DenseOrderTheory()
+    assert not DatalogProgram(_rules(theory, _chain_text()), theory).is_recursive()
+    # closing the chain into one 1,201-predicate cycle makes it recursive
+    closed = _chain_text() + f"\n{BOTTOM}(x) :- {TOP}(x)."
+    assert DatalogProgram(_rules(theory, closed), theory).is_recursive()
+
+
+def test_mutually_recursive_groups_on_a_deep_chain():
+    theory = DenseOrderTheory()
+    groups = mutually_recursive_groups(_rules(theory, _chain_text()))
+    assert len(groups) == DEPTH
+    assert all(len(group) == 1 for group in groups)
+    closed = _chain_text() + f"\n{BOTTOM}(x) :- {TOP}(x)."
+    (cycle,) = mutually_recursive_groups(_rules(theory, closed))
+    assert len(cycle) == DEPTH + 1
+
+
+def test_view_maintains_a_deep_chain():
+    theory = DenseOrderTheory()
+    db = GeneralizedDatabase(theory)
+    db.create_relation(BOTTOM, ("x",))
+    program = DatalogProgram(_rules(theory, _chain_text()), theory)
+    view = MaterializedView(program, db)
+    assert len(view.relation(TOP)) == 0
+    view.insert(BOTTOM, [theory.equality("x", theory.constant(Fraction(7)))])
+    assert view.relation(TOP).contains_values([Fraction(7)])
+    assert len(view.relation(TOP)) == 1

@@ -1,49 +1,85 @@
-"""JoinIndexPool over relation-owned indexes: lazy build, appends, soundness."""
+"""The join's index access: relation-owned generalized 1-d indexes.
 
+A probing join step reads ``relation.index(attr).candidates(lo, hi)``
+directly; these tests hold that API to the join's needs (lazy build,
+appends, soundness) and pin down when the compiled join probes at all.
+"""
+
+import io
 from fractions import Fraction
 
+import pytest
+
+from repro.cli import Shell
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
 from repro.core.datalog import DatalogProgram
 from repro.core.generalized import GeneralizedDatabase
-from repro.indexing.pool import JoinIndexPool
+from repro.errors import EvaluationError
 from repro.logic.parser import parse_rules
 
 theory = DenseOrderTheory()
 
+TC_RULES = """
+T(x, y) :- E(x, y).
+T(x, y) :- T(x, z), E(z, y).
+"""
 
-def _relation(points):
-    db = GeneralizedDatabase(theory)
+
+def _relation(points, relation_theory=theory):
+    db = GeneralizedDatabase(relation_theory)
     relation = db.create_relation("E", ("x", "y"))
     for a, b in points:
         relation.add_point([Fraction(a), Fraction(b)])
     return relation
 
 
-class TestSupport:
-    def test_dense_order_supported(self):
-        assert JoinIndexPool(theory).supported
+def _candidates(relation, attribute, low, high):
+    return relation.index(attribute).candidates(low, high)
 
-    def test_equality_unsupported_probes_none(self):
-        pool = JoinIndexPool(EqualityTheory())
-        assert not pool.supported
-        assert pool.probe(_relation([(0, 1)]), "x", Fraction(0), Fraction(0)) is None
 
-    def test_unbounded_probe_is_none(self):
-        pool = JoinIndexPool(theory)
-        assert pool.probe(_relation([(0, 1)]), "x", None, None) is None
+class TestProbeDecision:
+    """Lowering decides once whether a step probes: dense order only."""
 
-    def test_unknown_attribute_is_none(self):
-        pool = JoinIndexPool(theory)
-        assert pool.probe(_relation([(0, 1)]), "zzz", Fraction(0), None) is None
+    def test_equality_builds_no_index(self, index_builds):
+        equality = EqualityTheory()
+        db = GeneralizedDatabase(equality)
+        db.add_relation(_relation([(i, i + 1) for i in range(6)], equality))
+        rules = parse_rules(TC_RULES, theory=equality)
+        _, stats = DatalogProgram(rules, equality).evaluate(db)
+        assert stats.join_steps > 0
+        assert stats.index_probes == 0
+        assert index_builds == []
+
+    def test_equality_plan_scans_every_step(self):
+        out = io.StringIO()
+        shell = Shell(out=out)
+        for line in [
+            ".theory equality",
+            ".relation E(x, y)",
+            ".point E: 1, 2",
+            ".point E: 2, 3",
+            ".rule T(x, y) :- E(x, y).",
+            ".rule T(x, y) :- T(x, z), E(z, y).",
+            ".plan T",
+        ]:
+            shell.handle(line)
+        steps = [line for line in out.getvalue().splitlines() if " step " in line]
+        assert len(steps) == 3  # one step in the first rule, two in the second
+        assert all(", scan; bound:" in line for line in steps)
+        assert "probe" not in out.getvalue()
+
+    def test_index_rejects_bad_attribute_or_theory(self):
+        with pytest.raises(EvaluationError, match="not an attribute"):
+            _relation([(0, 1)]).index("zzz")
+        with pytest.raises(EvaluationError, match="interval projections"):
+            _relation([(0, 1)], EqualityTheory()).index("x")
 
 
 class TestProbeSoundness:
     def test_exact_pin_finds_all_matches(self):
         relation = _relation([(i, i + 1) for i in range(10)])
-        pool = JoinIndexPool(theory)
-        hits = pool.probe(relation, "x", Fraction(4), Fraction(4))
-        assert hits is not None
+        hits = _candidates(relation, "x", Fraction(4), Fraction(4))
         matching = [t for t in relation if t in hits]
         # no false negatives: the only tuple with x = 4 is found
         assert len([t for t in hits]) >= 1
@@ -60,53 +96,43 @@ class TestProbeSoundness:
         db = GeneralizedDatabase(theory)
         relation = db.create_relation("R", ("x",))
         relation.add_tuple([theory.lt(Fraction(2), "x"), theory.lt("x", Fraction(5))])
-        pool = JoinIndexPool(theory)
-        hits = pool.probe(relation, "x", Fraction(3), Fraction(3))
-        assert hits is not None and len(hits) == 1
-        near_edge = pool.probe(relation, "x", Fraction("4.999"), Fraction("4.999"))
-        assert near_edge is not None and len(near_edge) == 1
+        hits = _candidates(relation, "x", Fraction(3), Fraction(3))
+        assert len(hits) == 1
+        near_edge = _candidates(relation, "x", Fraction("4.999"), Fraction("4.999"))
+        assert len(near_edge) == 1
 
     def test_disjoint_probe_returns_empty(self):
         relation = _relation([(i, i + 1) for i in range(6)])
-        pool = JoinIndexPool(theory)
-        hits = pool.probe(relation, "x", Fraction(100), Fraction(200))
+        hits = _candidates(relation, "x", Fraction(100), Fraction(200))
         assert hits == []
 
 
 class TestIncrementalMaintenance:
     def test_index_catches_up_as_relation_grows(self, index_builds):
         relation = _relation([(0, 1), (1, 2)])
-        pool = JoinIndexPool(theory)
-        assert pool.probe(relation, "x", Fraction(5), Fraction(5)) == []
+        assert _candidates(relation, "x", Fraction(5), Fraction(5)) == []
         index = relation.index("x")
         # grow the relation (fixpoint rounds only ever add)
         relation.add_point([Fraction(5), Fraction(6)])
         relation.add_point([Fraction(7), Fraction(8)])
         assert len(index) == len(relation) == 4  # appends queued on it
-        hits = pool.probe(relation, "x", Fraction(5), Fraction(5))
-        assert hits is not None and len(hits) == 1
+        hits = _candidates(relation, "x", Fraction(5), Fraction(5))
+        assert len(hits) == 1
         # the relation's one index followed the appends, never rebuilt
         assert relation.index("x") is index
         assert index_builds == [("E", "x")]
 
     def test_one_index_per_relation_attribute_pair(self, index_builds):
         relation = _relation([(0, 1)])
-        pool = JoinIndexPool(theory)
-        pool.probe(relation, "x", Fraction(0), None)
-        pool.probe(relation, "y", Fraction(1), None)
-        pool.probe(relation, "x", None, Fraction(3))
+        _candidates(relation, "x", Fraction(0), None)
+        _candidates(relation, "y", Fraction(1), None)
+        _candidates(relation, "x", None, Fraction(3))
         assert index_builds == [("E", "x"), ("E", "y")]
         assert relation.index("x") is not relation.index("y")
 
     def test_counters_accumulate(self):
         # probe counters live in EvaluationStats
-        rules = parse_rules(
-            """
-            T(x, y) :- E(x, y).
-            T(x, y) :- T(x, z), E(z, y).
-            """,
-            theory=theory,
-        )
+        rules = parse_rules(TC_RULES, theory=theory)
         db = GeneralizedDatabase(theory)
         db.add_relation(_relation([(i, i + 1) for i in range(8)]))
         _, stats = DatalogProgram(rules, theory).evaluate(db)
@@ -116,42 +142,22 @@ class TestIncrementalMaintenance:
 
 
 class TestProbeHandles:
-    """A handle is the relation's own index: same answers as direct probes."""
-
-    def test_handle_matches_direct_probe(self):
-        relation = _relation([(i, i + 1) for i in range(10)])
-        pool = JoinIndexPool(theory)
-        handle = pool.handle(relation, "x")
-        assert handle is not None
-        assert handle.candidates(Fraction(4), Fraction(4)) == pool.probe(
-            relation, "x", Fraction(4), Fraction(4)
-        )
-
-    def test_handle_declines_like_probe(self):
-        relation = _relation([(0, 1)])
-        assert JoinIndexPool(EqualityTheory()).handle(relation, "x") is None
-        assert JoinIndexPool(theory).handle(relation, "zzz") is None
-        handle = JoinIndexPool(theory).handle(relation, "x")
-        assert JoinIndexPool(theory).probe(relation, "x", None, None) is None
-        assert handle.candidates(None, None) == relation.tuples()
+    """The index a step probes is the relation's own, kept across calls."""
 
     def test_handle_shares_index_and_counters(self, index_builds):
         relation = _relation([(i, i + 1) for i in range(6)])
-        pool = JoinIndexPool(theory)
-        handle = pool.handle(relation, "x")
-        assert handle is relation.index("x")  # no second index behind it
+        handle = relation.index("x")
         assert len(handle.candidates(Fraction(2), Fraction(2))) == 1
-        # a second pool (the next evaluation) reaches the same index
-        assert JoinIndexPool(theory).handle(relation, "x") is handle
-        assert pool.probe(relation, "x", Fraction(3), Fraction(3)) == (
+        # the next evaluation over the relation reaches the same index
+        assert relation.index("x") is handle
+        assert _candidates(relation, "x", Fraction(3), Fraction(3)) == (
             handle.candidates(Fraction(3), Fraction(3))
         )
         assert index_builds == [("E", "x")]
 
     def test_handle_sees_incremental_growth(self):
         relation = _relation([(0, 1)])
-        pool = JoinIndexPool(theory)
-        handle = pool.handle(relation, "x")
+        handle = relation.index("x")
         assert handle.candidates(Fraction(7), Fraction(7)) == []
         relation.add_point([Fraction(7), Fraction(8)])
         assert len(handle.candidates(Fraction(7), Fraction(7))) == 1
