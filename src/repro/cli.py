@@ -92,8 +92,8 @@ HELP = """commands:
   .budget SPEC            resource budget for .run/.query, e.g.
                           .budget deadline=0.05 rounds=100 fringe
                           (.budget off clears it; bare .budget shows it)
-  .engine [FLAG=on|off]   show or toggle fast-path flags for .run, e.g.
-                          .engine index_probes=off join_planner=on
+  .engine [FLAG=on|off]   show or toggle the engine flags for .run, e.g.
+                          .engine join_planner=off optimize_semantic=on
                           (.engine all_on / .engine all_off reset the lot;
                           also reports the rule-compiler plan-cache state)
   .plan RULE              pretty-print the lowered IR for a rule, by head
@@ -315,8 +315,7 @@ class Shell:
             cache = PLAN_CACHE.stats()
             self.write(
                 "plan cache: {entries} compiled program(s), "
-                "{hits} hits, {misses} misses, "
-                "{invalidations} invalidations".format(**cache)
+                "{hits} hits, {misses} misses".format(**cache)
             )
             return
         if spec == "all_on":

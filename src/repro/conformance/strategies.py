@@ -20,7 +20,8 @@ Registered adapters (per applicable kind/theory):
   join code with the engine: the first Datalog route, so every engine route
   is compared against it;
 * ``datalog[...]`` -- the semi-naive engine under ``EngineOptions.all_on``,
-  ``all_off``, and each single-flag-off ablation, plus a naive-order run;
+  ``all_off``, and each single-flag-off ablation (``join_planner`` and
+  ``optimize_semantic``), plus a naive-order run;
 * ``boole_lemma`` -- the Section 5.2 boolean Datalog engine (Theorem 5.6),
   for positive boolean programs;
 * ``qe:calculus`` / ``qe:fourier_motzkin`` / ``qe:virtual_substitution`` --
@@ -96,16 +97,6 @@ ABLATION_GRID: tuple[tuple[str, EngineOptions], ...] = (
     *(
         (f"no_{flag}", replace(EngineOptions.all_on(), **{flag: False}))
         for flag in EngineOptions.all_on().as_dict()
-    ),
-    # the plan and index layers off together while the original cache
-    # layers stay on: the pre-planner "serial scan" engine
-    (
-        "serial_scan",
-        replace(
-            EngineOptions.all_on(),
-            join_planner=False,
-            index_probes=False,
-        ),
     ),
     # the semantic-optimizer differential pair: semantic_off is the
     # unrewritten oracle (the auto-generated no_optimize_semantic ablation

@@ -48,9 +48,10 @@ def test_every_ablation_config_is_exercised():
 def test_ablation_grid_shape():
     labels = [label for label, _ in ABLATION_GRID]
     assert labels[:2] == ["all_on", "all_off"]
-    # all_on + all_off + one per as_dict flag + serial_scan + semantic_off
+    # all_on + all_off + one per as_dict flag + semantic_off
     flags = len(ABLATION_GRID[0][1].as_dict())
-    assert len(labels) == flags + 4
+    assert flags == 2
+    assert len(labels) == flags + 3 == 5
     # every grid entry is a distinct configuration except the stable public
     # alias semantic_off of the auto-generated no_optimize_semantic, so
     # nightly tooling can reference the differential pair by name
@@ -95,7 +96,8 @@ def test_datalog_registry_contains_all_ablations_and_naive():
         # one no_* entry per as_dict flag
         flags = len(ABLATION_GRID[0][1].as_dict())
         assert sum(1 for n in names if n.startswith("datalog[no_")) == flags
-        assert "datalog[serial_scan]" in names
+        assert "datalog[no_join_planner]" in names
+        assert "datalog[semantic_off]" in names
         return
     pytest.fail("no datalog case generated in 200 seeds")
 

@@ -4,7 +4,7 @@
 from repro.constraints.base import TheoryCache
 from repro.constraints.dense_order import DenseOrderTheory, le, lt
 from repro.constraints.real_poly import RealPolynomialTheory, poly_lt
-from repro.core.datalog import DatalogProgram, EngineOptions
+from repro.core.datalog import DatalogProgram
 from repro.core.generalized import GeneralizedDatabase
 from repro.logic.parser import parse_rules
 from repro.poly.polynomial import poly_var
@@ -103,17 +103,19 @@ class TestEnableAndEviction:
 
 class TestEngineIntegration:
     def test_evaluate_restores_enabled_flag(self):
+        # an evaluation leaves the cache's enabled state as it found it
         theory = DenseOrderTheory()
         db = GeneralizedDatabase(theory)
         edges = db.create_relation("E", ("x", "y"))
         edges.add_point([0, 1])
         rules = parse_rules("T(x, y) :- E(x, y).", theory=theory)
-        program = DatalogProgram(
-            rules, theory, options=EngineOptions(theory_cache=False)
-        )
-        assert theory.cache.enabled
-        program.evaluate(db)
-        assert theory.cache.enabled
+        program = DatalogProgram(rules, theory)
+        for enabled in (True, False):
+            theory.cache.enabled = enabled
+            world, _ = program.evaluate(db)
+            assert theory.cache.enabled is enabled
+            assert len(world.relation("T")) == 1
+        theory.cache.enabled = True
 
     def test_stats_report_nonzero_cache_hits(self):
         theory = DenseOrderTheory()
@@ -127,10 +129,3 @@ class TestEngineIntegration:
         _, stats = DatalogProgram(rules, theory).evaluate(db)
         assert stats.cache_hits > 0
         assert stats.theory_cache_hits > 0
-        # index probes narrow candidates before the pin filter sees them, so
-        # exercise the pin filter with probes off
-        program = DatalogProgram(
-            rules, theory, options=EngineOptions(index_probes=False)
-        )
-        _, stats = program.evaluate(db)
-        assert stats.pin_prunes > 0

@@ -84,13 +84,11 @@ class TestShell:
 class TestEngineCommand:
     def test_show_defaults(self):
         output = run([".engine"])
-        assert "join_planner=on" in output
-        assert "index_probes=on" in output
-        assert "rename_cache=on" in output
+        assert "engine: join_planner=on, optimize_semantic=on" in output
 
     def test_toggle_and_run(self):
         output = run([
-            ".engine index_probes=off rename_cache=off",
+            ".engine join_planner=off optimize_semantic=off",
             ".engine",
             ".relation E(x, y)",
             ".point E: 0, 1",
@@ -99,13 +97,13 @@ class TestEngineCommand:
             ".rule T(x, y) :- T(x, z), E(z, y).",
             ".run",
         ])
-        assert "index_probes=off" in output
-        assert "rename_cache=off" in output
+        assert "join_planner=off" in output
+        assert "optimize_semantic=off" in output
         assert "fixpoint in" in output
 
     def test_all_off_and_all_on(self):
         output = run([".engine all_off", ".engine all_on"])
-        assert "theory_cache=off" in output
+        assert "join_planner=off, optimize_semantic=off" in output
         assert output.count("join_planner=on") == 1
 
     def test_bad_flag_reports_usage(self):
@@ -117,11 +115,11 @@ class TestEngineCommand:
         # to an unknown one changes nothing
         out = io.StringIO()
         shell = Shell(out=out)
-        shell.handle(".engine index_probes=off bogus=on")
-        shell.handle(".engine rename_cache=off parallel=off")
+        shell.handle(".engine join_planner=off bogus=on")
+        shell.handle(".engine optimize_semantic=off parallel=off")
         assert out.getvalue().count("usage: .engine") == 2
-        assert shell.engine.index_probes is True
-        assert shell.engine.rename_cache is True
+        assert shell.engine.join_planner is True
+        assert shell.engine.optimize_semantic is True
 
     def test_reports_plan_cache_state(self):
         from repro.core.compile import PLAN_CACHE
@@ -135,10 +133,9 @@ class TestEngineCommand:
             ".run",
             ".engine",
         ])
-        assert "index_probes=on" in output
-        assert "plan cache: 1 compiled program(s)" in output
+        assert "join_planner=on" in output
         # first .run misses, second hits the prepared-query cache
-        assert "1 hits, 1 misses" in output
+        assert "plan cache: 1 compiled program(s), 1 hits, 1 misses\n" in output
 
 
 class TestPlanCommand:

@@ -87,25 +87,24 @@ class TestPlanCache:
         _, stats = _program(b).evaluate(_chain_db(b, 4))
         assert (stats.compile_hits, stats.compile_misses) == (0, 1)
 
-    def test_options_change_invalidates_stale_closures(self):
-        # the stale-closure hazard: closures bake in probe choices,
-        # so an EngineOptions change between evaluations must evict and
-        # re-lower, never reuse
+    def test_options_share_one_entry(self):
+        # no compiled closure reads an option, so the same rules and theory
+        # under all_on() and then all_off() share one cache entry, and both
+        # runs land on the reference fixpoint
         theory = DenseOrderTheory()
-        on = EngineOptions.all_on()
-        off_probes = replace(on, index_probes=False)
-        _program(theory, on).evaluate(_chain_db(theory, 4))
-        _, stats = _program(theory, off_probes).evaluate(_chain_db(theory, 4))
-        assert stats.compile_invalidations == 1
-        assert (stats.compile_hits, stats.compile_misses) == (0, 1)
-        # the stale all_on entry was evicted, not kept alongside
-        assert PLAN_CACHE.stats()["entries"] == 1
-        # steady state under the new options is a plain hit again
-        _, again = _program(theory, off_probes).evaluate(_chain_db(theory, 4))
-        assert (again.compile_hits, again.compile_invalidations) == (1, 0)
-        # and flipping back invalidates once more
-        _, back = _program(theory, on).evaluate(_chain_db(theory, 4))
-        assert back.compile_invalidations == 1
+        rules = parse_rules(TC_RULES, theory=theory)
+        expected = reference_fixpoint(rules, theory, _chain_db(theory, 5))
+        for options, traffic in (
+            (EngineOptions.all_on(), (0, 1)),
+            (EngineOptions.all_off(), (1, 0)),
+        ):
+            program = DatalogProgram(rules, theory, options=options)
+            world, stats = program.evaluate(_chain_db(theory, 5))
+            assert (stats.compile_hits, stats.compile_misses) == traffic
+            assert set(world.relation("T").keys()) == set(
+                expected.relation("T").keys()
+            )
+        assert PLAN_CACHE.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_entry_keeps_no_reparsed_rules_alive(self):
         # the shell re-parses on every .run and program_batch parses every
@@ -133,9 +132,9 @@ class TestPlanCache:
             cache.fetch(program)
         assert len(cache) == 2
         # the oldest entry was evicted: fetching it again is a miss
-        _, hit, _ = cache.fetch(programs[0])
+        _, hit = cache.fetch(programs[0])
         assert not hit
-        _, hit, _ = cache.fetch(programs[2])
+        _, hit = cache.fetch(programs[2])
         assert hit
 
 
@@ -189,7 +188,6 @@ class TestStatsMerge:
         for stats, base in ((a, 1), (b, 10)):
             stats.compile_hits = base
             stats.compile_misses = base + 1
-            stats.compile_invalidations = base + 2
             stats.compiled_rules = base + 3
             stats.compiled_firings = base + 4
             stats.fastpath_leaves = base + 5
@@ -197,7 +195,6 @@ class TestStatsMerge:
         a.merge(b)
         assert a.compile_hits == 11
         assert a.compile_misses == 13
-        assert a.compile_invalidations == 15
         assert a.compiled_rules == 17
         assert a.compiled_firings == 19
         assert a.fastpath_leaves == 21
@@ -236,7 +233,6 @@ class TestStatsMerge:
         for key in (
             "compile_hits",
             "compile_misses",
-            "compile_invalidations",
             "compiled_rules",
             "compiled_firings",
             "fastpath_leaves",

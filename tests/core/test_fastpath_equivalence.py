@@ -1,12 +1,13 @@
 """Property tests: the engine fast path never changes a fixpoint.
 
-Every optimization layer (TheoryCache, rename cache, incremental joins,
-complement cache, pin filter) is a pure evaluation shortcut, so evaluating
-any program with all optimizations enabled must produce exactly the same
-generalized relations as the stripped engine, under every semantics.  These
-tests drive random dense-order and equality programs through both engines
-and compare canonical fixpoints, and check the incremental dense-order
-closure against the from-scratch solver.
+Every fast-path layer (TheoryCache, rename cache, incremental joins,
+complement cache, pin filter, index probes) is a pure evaluation shortcut
+and always on; the flags that remain (the join planner and the semantic
+optimizer) must not change a fixpoint either.  These tests drive random
+dense-order and equality programs through the engine with every flag on
+and every flag off and compare canonical fixpoints, check generated cases
+of all four theories against the reference evaluator, and check the
+incremental dense-order closure against the from-scratch solver.
 """
 
 import random
@@ -192,8 +193,8 @@ class TestFourTheoryMatrix:
 
     Drives conformance-generated datalog cases (dense order, equality,
     boolean, real polynomial) through the engine under every interesting
-    flag combination -- all on, all off, and the planner and index layers
-    off ("serial scan") -- under both fixpoint orders and all semantics.
+    flag combination -- all on, all off, and the planner alone off --
+    under both fixpoint orders and all semantics.
     The configurations must agree on canonical fixpoints, and those must
     equal :func:`repro.conformance.reference.reference_fixpoint`'s.
     """
@@ -201,7 +202,7 @@ class TestFourTheoryMatrix:
     CONFIGS = (
         EngineOptions.all_on(),
         EngineOptions.all_off(),
-        EngineOptions(join_planner=False, index_probes=False),
+        EngineOptions(join_planner=False),
     )
 
     @staticmethod

@@ -46,9 +46,7 @@ class TestBenchSuite:
         assert largest["identical_fixpoints"] is True
         assert set(largest["columns"]) == {
             "all_on",
-            "all_off",
             "no_join_planner",
-            "no_index_probes",
             "reference",
         }
         # the gated ratio is reference / all_on
