@@ -8,6 +8,10 @@ strata, the fringe module's mutually recursive groups and
 ``DatalogProgram.is_recursive`` all walk the graph through the iterative
 :func:`repro.analysis.graph.strongly_connected_components` (whose own
 deep-chain test is in ``tests/analysis/test_graph.py``).
+
+The chain is also the worst case for semi-naive rounds that fire every
+rule with an IDB body atom: 1,201 rounds of 1,200 firings each.  Rounds
+fire only the body atoms whose delta is non-empty.
 """
 
 from fractions import Fraction
@@ -57,3 +61,17 @@ def test_view_maintains_a_deep_chain():
     view.insert(BOTTOM, [theory.equality("x", theory.constant(Fraction(7)))])
     assert view.relation(TOP).contains_values([Fraction(7)])
     assert len(view.relation(TOP)) == 1
+
+
+def test_semi_naive_fires_only_non_empty_deltas():
+    # one Q1200 tuple climbs the chain one predicate per round: the first
+    # round fires all 1,200 rules, and every later round only the one rule
+    # whose body predicate admitted the tuple in the round before
+    theory = DenseOrderTheory()
+    db = GeneralizedDatabase(theory)
+    db.create_relation(BOTTOM, ("x",)).add_point([Fraction(7)])
+    program = DatalogProgram(_rules(theory, _chain_text()), theory)
+    world, stats = program.evaluate(db)
+    assert world.relation(TOP).contains_values([Fraction(7)])
+    assert stats.iterations == DEPTH + 1
+    assert stats.compiled_firings <= 2 * DEPTH
