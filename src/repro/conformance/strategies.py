@@ -89,22 +89,16 @@ class Strategy:
 
 
 #: the EngineOptions ablation grid: everything on, everything off, and each
-#: single flag off -- the acceptance criterion requires every one of these
-#: to be exercised by at least one strategy pair
+#: single flag off, every entry a distinct configuration -- each one must be
+#: exercised by at least one strategy pair.  ``no_optimize_semantic`` is the
+#: semantic optimizer's differential oracle: any fixpoint difference against
+#: ``all_on`` means a containment rewrite changed program semantics
 ABLATION_GRID: tuple[tuple[str, EngineOptions], ...] = (
     ("all_on", EngineOptions.all_on()),
     ("all_off", EngineOptions.all_off()),
     *(
         (f"no_{flag}", replace(EngineOptions.all_on(), **{flag: False}))
         for flag in EngineOptions.all_on().as_dict()
-    ),
-    # the semantic-optimizer differential pair: semantic_off is the
-    # unrewritten oracle (the auto-generated no_optimize_semantic ablation
-    # under its acceptance-criterion name) -- any fixpoint difference against
-    # all_on means a containment rewrite changed program semantics
-    (
-        "semantic_off",
-        replace(EngineOptions.all_on(), optimize_semantic=False),
     ),
 )
 

@@ -34,7 +34,10 @@ ordinary :class:`DatalogProgram` instances cached in the process-wide plan
 cache, and the per-view ``_EvalCaches`` persist across maintenance steps.
 The join indexes live on the view's relations and follow every delta
 (an insert queues one tuple, a retraction deletes one key), so they stay
-warm across steps and are never rebuilt.
+warm across steps and are never rebuilt.  The expansion rules read the
+pre-change content of a relation in place, as a view of the live relation
+that hides this batch's additions (:class:`_PreChange`), so a view holds
+one copy of each relation and one index per (relation, attribute).
 
 **Canonical-form equality.**  Both the maintained and the from-scratch path
 admit tuples through ``theory.canonicalize``, a deterministic function of
@@ -53,7 +56,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, cast
 
 from repro.analysis.graph import strongly_connected_components
 from repro.constraints.base import ConstraintTheory
@@ -77,6 +81,9 @@ from repro.errors import (
 )
 from repro.logic.syntax import Atom, RelationAtom
 from repro.runtime.budget import active_meter, metered, tick
+
+if TYPE_CHECKING:
+    from repro.indexing.generalized_index import GeneralizedIndex1D
 
 #: suffixes of the maintenance-only predicates (delta / pre-change / head)
 _DELTA_SUFFIX = "__ivm_d"
@@ -143,6 +150,71 @@ def _expansion_rules(rules: Sequence[Rule]) -> list[Rule]:
                     body.append(literal)
             out.append(Rule(head, tuple(body)))
     return out
+
+
+class _PreChange:
+    """``X__ivm_m``: the live relation ``X`` read in place, minus ``A_X``.
+
+    ``A_X`` is what this batch has added to ``X`` so far.  The view offers
+    what the compiled join reads of a relation -- ``variables``,
+    ``version``, ``len``, iteration and ``index(attribute).candidates`` --
+    and answers from the live relation and the live relation's own
+    indexes, skipping the hidden tuples.  Scans list the live order
+    without them; a probe lists the live index's candidates without them,
+    which is the order an index built fresh over the remaining content
+    would list (by key, then insertion order).  Tuples are hidden by
+    identity: they are the objects the live relation stored, and the
+    step's ``adds`` lists keep them alive while a stratum fires.
+    """
+
+    __slots__ = ("name", "live", "variables", "_hidden", "_step")
+
+    def __init__(self, name: str, live: GeneralizedRelation) -> None:
+        self.name = name
+        self.live = live
+        self.variables = live.variables
+        self._hidden: frozenset[int] = frozenset()
+        self._step = 0
+
+    def hide(self, items: Iterable[GeneralizedTuple]) -> None:
+        """Hide exactly ``items``, tuples stored in the live relation."""
+        self._hidden = frozenset(id(item) for item in items)
+        self._step += 1
+
+    @property
+    def version(self) -> tuple[int, int]:
+        """Changes with the live content and with every :meth:`hide`."""
+        return (self.live.version, self._step)
+
+    def __len__(self) -> int:
+        return len(self.live) - len(self._hidden)
+
+    def __iter__(self) -> Iterator[GeneralizedTuple]:
+        hidden = self._hidden
+        return (item for item in self.live if id(item) not in hidden)
+
+    def index(self, attribute: str) -> "_PreChangeIndex":
+        return _PreChangeIndex(self.live.index(attribute), self._hidden)
+
+
+class _PreChangeIndex:
+    """A live relation's index on one attribute, hiding a set of tuples."""
+
+    __slots__ = ("_index", "_hidden")
+
+    def __init__(self, index: "GeneralizedIndex1D", hidden: frozenset[int]) -> None:
+        self._index = index
+        self._hidden = hidden
+
+    def candidates(
+        self, low: Fraction | None, high: Fraction | None
+    ) -> list[GeneralizedTuple]:
+        hidden = self._hidden
+        return [
+            item
+            for item in self._index.candidates(low, high)
+            if id(item) not in hidden
+        ]
 
 
 class MaterializedView:
@@ -212,8 +284,10 @@ class MaterializedView:
             self._compute_strata() if self._mode == "incremental" else []
         )
         self._sub_programs: dict[int, DatalogProgram] = {}
-        self._mworld: GeneralizedDatabase | None = None
-        self._mid_rel: dict[str, GeneralizedRelation] = {}
+        #: the expansion programs' world: the ``X__ivm_m`` views and the
+        #: ``X__ivm_d`` delta relations, bound by ``_init_runtime``
+        self._mworld = GeneralizedDatabase(self.theory)
+        self._mid_view: dict[str, _PreChange] = {}
         self._delta_rel: dict[str, GeneralizedRelation] = {}
         self._caches: _EvalCaches | None = None
         self._counts: dict[str, dict[Key, int]] = {}
@@ -419,27 +493,31 @@ class MaterializedView:
         """(Re)build the per-view maintenance state against ``self.world``.
 
         The maintenance programs and strata are static (they depend only on
-        the rules), but the caches and counts reference relation content,
-        so a rematerialization rebuilds them.
+        the rules); everything else is rebuilt.  The caches and counts
+        reference relation content, and each ``X__ivm_m`` view reads the
+        live relation ``X`` in place: a rematerialization replaces the
+        derived relation objects, so the views are bound to the new world
+        here, beside fresh ``X__ivm_d`` delta relations.
         """
-        if self._mworld is None:
-            self._mworld = GeneralizedDatabase(self.theory)
-            names: set[str] = set()
-            for stratum in self._strata:
-                if not stratum.recompute:
-                    names |= stratum.pos_body_preds
-            for name in sorted(names):
-                live = self.world.relation(name)
-                mid = GeneralizedRelation(
-                    name + _MID_SUFFIX, live.variables, self.theory
-                )
-                delta = GeneralizedRelation(
-                    name + _DELTA_SUFFIX, live.variables, self.theory
-                )
-                self._mworld.add_relation(mid)
-                self._mworld.add_relation(delta)
-                self._mid_rel[name] = mid
-                self._delta_rel[name] = delta
+        names: set[str] = set()
+        for stratum in self._strata:
+            if not stratum.recompute:
+                names |= stratum.pos_body_preds
+        self._mworld = GeneralizedDatabase(self.theory)
+        self._mid_view = {}
+        self._delta_rel = {}
+        for name in sorted(names):
+            live = self.world.relation(name)
+            view = _PreChange(name + _MID_SUFFIX, live)
+            delta = GeneralizedRelation(
+                name + _DELTA_SUFFIX, live.variables, self.theory
+            )
+            # the compiled join reads a relation only through what the
+            # view offers (see _PreChange)
+            self._mworld.add_relation(cast(GeneralizedRelation, view))
+            self._mworld.add_relation(delta)
+            self._mid_view[name] = view
+            self._delta_rel[name] = delta
         self._caches = _EvalCaches(self.program, self.total_stats)
         for stratum in self._strata:
             if stratum.expansion is not None:
@@ -597,20 +675,12 @@ class MaterializedView:
         Lower strata have already applied this batch's additions by the time
         a stratum fires its expansion, and the exact-count classification
         needs the *other* positions drawn from content without them (both
-        sub-steps: old = pre + D, new = pre + A).  Pointer-copy only; no
-        canonicalization, no budget ticks.
+        sub-steps: old = pre + D, new = pre + A).  Nothing is copied: each
+        view hides the stored tuples of ``adds[X]`` from the live relation,
+        in O(|A_X|), with no canonicalization and no budget ticks.
         """
         for name in refs:
-            live = self.world.relation(name)
-            mid = self._mid_rel[name]
-            mid.clear()
-            added = adds.get(name)
-            skip = (
-                {frozenset(item.atoms) for item in added} if added else frozenset()
-            )
-            for key, item in live.entries():
-                if key not in skip:
-                    mid.adopt_canonical(item)
+            self._mid_view[name].hide(adds.get(name) or ())
 
     def _fire_expansion(
         self,
@@ -635,7 +705,7 @@ class MaterializedView:
             (rule, None, None) for rule in expansion.rules
         ]
         derived = expansion._execute_round(
-            tasks, self._require(self._mworld), stats, self._require(stratum.caches)
+            tasks, self._mworld, stats, self._require(stratum.caches)
         )
         strip = len(_OUT_SUFFIX)
         return [(name[:-strip], item) for name, item in derived]

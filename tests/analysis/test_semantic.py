@@ -1,7 +1,7 @@
 """The semantic optimizer: containment rewrites never change fixpoints.
 
 The property half runs conformance-generated datalog cases through the
-``datalog[all_on]`` and ``datalog[semantic_off]`` strategies and demands
+``datalog[all_on]`` and ``datalog[no_optimize_semantic]`` strategies and demands
 semantically equal answers; the directed half pins each pass (subsumption,
 literal elimination, constraint tightening, unsat pruning, view
 answerability), the Theorem 2.8 refusal (containment that holds semantically
@@ -77,14 +77,14 @@ def _both_fixpoints(rules_text, theory_factory, semantics="auto", n=5):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_optimized_fixpoint_equals_original(theory, seed):
-    """The conformance pair: all_on (optimizer live) vs. semantic_off."""
+    """The conformance pair: all_on (optimizer live) vs. no_optimize_semantic."""
     spec = generate_case(theory, seed)
     assume(spec.kind == "datalog")
     routes = {s.name: s for s in strategies_for(spec)}
     left = routes["datalog[all_on]"].run(spec)
-    right = routes["datalog[semantic_off]"].run(spec)
+    right = routes["datalog[no_optimize_semantic]"].run(spec)
     found = compare_relations(
-        left, right, "semantic_on", "semantic_off", spec.theory, spec.m
+        left, right, "all_on", "no_optimize_semantic", spec.theory, spec.m
     )
     assert found is None, found.describe()
 

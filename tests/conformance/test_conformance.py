@@ -37,27 +37,24 @@ def test_every_ablation_config_is_exercised():
     """Acceptance criterion: each EngineOptions ablation runs in some pair."""
     report = run_conformance("dense_order", cases=20, seed=resolve_seed(0))
     exercised, total = report.options_coverage()
-    # coverage keys by as_dict, under which semantic_off (the
-    # acceptance-criterion alias) collapses into no_optimize_semantic
+    # coverage keys by as_dict, and every grid entry is a distinct config
     distinct = len({frozenset(o.as_dict().items()) for _, o in ABLATION_GRID})
     assert (exercised, total) == (distinct, distinct)
-    assert distinct == len(ABLATION_GRID) - 1
+    assert distinct == len(ABLATION_GRID)
     assert report.ok, [f.discrepancy.describe() for f in report.failures]
 
 
 def test_ablation_grid_shape():
     labels = [label for label, _ in ABLATION_GRID]
     assert labels[:2] == ["all_on", "all_off"]
-    # all_on + all_off + one per as_dict flag + semantic_off
+    # all_on + all_off + one per as_dict flag
     flags = len(ABLATION_GRID[0][1].as_dict())
     assert flags == 2
-    assert len(labels) == flags + 3 == 5
-    # every grid entry is a distinct configuration except the stable public
-    # alias semantic_off of the auto-generated no_optimize_semantic, so
-    # nightly tooling can reference the differential pair by name
+    assert len(labels) == flags + 2 == 4
+    # every grid entry is a distinct configuration, under a distinct label
     distinct = {frozenset(o.as_dict().items()) for _, o in ABLATION_GRID}
-    assert len(distinct) == len(labels) - 1
-    assert "semantic_off" in labels and "no_optimize_semantic" in labels
+    assert len(distinct) == len(set(labels)) == len(labels)
+    assert "no_optimize_semantic" in labels
 
 
 @pytest.mark.parametrize(
@@ -97,7 +94,7 @@ def test_datalog_registry_contains_all_ablations_and_naive():
         flags = len(ABLATION_GRID[0][1].as_dict())
         assert sum(1 for n in names if n.startswith("datalog[no_")) == flags
         assert "datalog[no_join_planner]" in names
-        assert "datalog[semantic_off]" in names
+        assert "datalog[no_optimize_semantic]" in names
         return
     pytest.fail("no datalog case generated in 200 seeds")
 
