@@ -172,6 +172,25 @@ class RealPolynomialTheory(ConstraintTheory):
         assert isinstance(atom, PolyAtom)
         return frozenset(atom.poly.terms.values())
 
+    def pinned_constants(self, atoms: Sequence[Atom]) -> Mapping[str, Any]:
+        """``a*x + b = 0`` pins ``x`` to the exact ``-b/a``.
+
+        Only an equation linear in exactly one variable pins it: ``x - y =
+        0``, ``x^2 - 4 = 0`` and ``x*y - 1 = 0`` do not, nor does any
+        inequality, so a point tuple pins every coordinate and nothing else
+        is claimed.  The join's pin filter then rejects two tuples pinning
+        one variable to different values without a solver call.
+        """
+        pins: dict[str, Any] = {}
+        for atom in atoms:
+            if not isinstance(atom, PolyAtom) or atom.op != "=":
+                continue
+            linear = atom.poly.as_linear()
+            if linear is not None and len(linear[0]) == 1:
+                ((name, coefficient),) = linear[0].items()
+                pins[name] = -linear[1] / coefficient
+        return pins
+
     # ---------------------------------------------------------------- solver
     def _is_satisfiable(self, atoms: Sequence[Atom]) -> bool:
         conds = self._as_conds(atoms)

@@ -19,6 +19,24 @@ Evaluation is structural recursion producing DNFs of constraint atoms:
 * ``forall`` is rewritten as not-exists-not during the NNF pass, so general
   negation only ever applies to database atoms and theory atoms.
 
+A positive existential conjunctive block skips the distribution: the
+outermost ``exists``/``and`` node whose subtree holds only relation atoms
+and theory atoms under ``exists`` -- at least one relation atom, at least
+two conjuncts once nested ``and``/``exists`` are flattened and bound
+variables renamed apart -- is the nonrecursive rule ``Ans(free) :- body``,
+evaluated by the Datalog engine's one compiled join
+(:mod:`repro.core.compile`).  The join extends one tuple at a time, prunes
+by pins, and probes each relation's generalized 1-d index (Section 1.1(3))
+where ``conjoin_dnf`` would canonicalize every pair: Figure 2 is
+``Ans(n1, n2) :- Rect(n1, x, y), Rect(n2, x, y), n1 != n2``.  Disjunction,
+negation, universal quantifiers, lone relation atoms and constraint-only
+blocks stay on the DNF route.  The join's satisfiability checks decide
+every partial conjunction, where ``canonicalize`` tolerates conjunctions
+outside the quantifier-elimination fragment; a block whose join raises
+:class:`UnsupportedEliminationError` is evaluated by the DNF route
+instead.  A budget trip raises :class:`BudgetExceededError`, even under a
+``partial_results="fringe"`` budget: a query answer has no fringe tag.
+
 For a fixed query the whole computation is polynomial in the database size,
 which is the data-complexity discipline of Definition 1.13 (the sharper
 LOGSPACE bound of Theorem 3.14 is realized by the verbatim EVAL-phi
@@ -34,7 +52,7 @@ from repro.core.generalized import (
     GeneralizedDatabase,
     GeneralizedRelation,
 )
-from repro.errors import ArityError, EvaluationError
+from repro.errors import ArityError, EvaluationError, UnsupportedEliminationError
 from repro.logic.syntax import (
     And,
     Atom,
@@ -47,6 +65,7 @@ from repro.logic.syntax import (
     free_variables,
 )
 from repro.logic.transform import to_nnf
+from repro.runtime.budget import raise_if_incomplete
 
 Dnf = list[Conjunction]
 
@@ -95,8 +114,23 @@ def _validate_arities(query: Formula, database: GeneralizedDatabase) -> None:
 
 
 def _eval(
-    formula: Formula, database: GeneralizedDatabase, theory: ConstraintTheory
+    formula: Formula,
+    database: GeneralizedDatabase,
+    theory: ConstraintTheory,
+    join: bool = True,
 ) -> Dnf:
+    """The formula as a DNF over its free variables.
+
+    ``join`` is False inside a block whose join fell back, so the whole
+    block takes the DNF route.
+    """
+    if join and isinstance(formula, (And, Exists)):
+        try:
+            joined = _join(formula, database, theory)
+        except UnsupportedEliminationError:
+            joined, join = None, False
+        if joined is not None:
+            return joined
     if isinstance(formula, RelationAtom):
         relation = database.relation(formula.name)
         return [
@@ -117,7 +151,7 @@ def _eval(
     if isinstance(formula, And):
         result: Dnf = [()]
         for part in formula.children:
-            part_dnf = _eval(part, database, theory)
+            part_dnf = _eval(part, database, theory, join=join)
             result = conjoin_dnf(result, part_dnf, theory)
             if not result:
                 return []
@@ -126,14 +160,14 @@ def _eval(
         merged: Dnf = []
         seen: set[frozenset[Atom]] = set()
         for part in formula.children:
-            for conjunction in _eval(part, database, theory):
+            for conjunction in _eval(part, database, theory, join=join):
                 key = frozenset(conjunction)
                 if key not in seen:
                     seen.add(key)
                     merged.append(conjunction)
         return merged
     if isinstance(formula, Exists):
-        inner = _eval(formula.child, database, theory)
+        inner = _eval(formula.child, database, theory, join=join)
         result = []
         seen = set()
         for conjunction in inner:
@@ -149,7 +183,7 @@ def _eval(
     if isinstance(formula, ForAll):
         # forall v . psi  ==  not exists v . not psi.  The inner complement
         # works on the evaluated DNF of psi.
-        inner = _eval(formula.child, database, theory)
+        inner = _eval(formula.child, database, theory, join=join)
         complemented = complement_dnf(inner, theory)
         eliminated: Dnf = []
         seen = set()
@@ -164,6 +198,75 @@ def _eval(
                     eliminated.append(canonical)
         return complement_dnf(eliminated, theory)
     raise EvaluationError(f"cannot evaluate {formula!r}")
+
+
+def _join(
+    formula: Formula,
+    database: GeneralizedDatabase,
+    theory: ConstraintTheory,
+) -> Dnf | None:
+    """A conjunctive block's DNF by the compiled rule join, or None.
+
+    None when ``formula`` is not a positive existential conjunctive block
+    with a relation atom and two conjuncts (see the module docstring).
+    """
+    free = free_variables(formula)
+    relations: list[RelationAtom] = []
+    constraints: list[Atom] = []
+    if not _flatten(formula, {}, set(free), relations, constraints):
+        return None
+    if not relations or len(relations) + len(constraints) < 2:
+        return None
+    # deferred: the engine's rule compiler imports this module
+    from repro.core.datalog import DatalogProgram, Rule
+
+    head = tuple(sorted(free))
+    answer = "_calculus_answer"
+    while answer in database:
+        answer += "_"
+    rule = Rule(RelationAtom(answer, head), (*relations, *constraints))
+    world, stats = DatalogProgram([rule], theory).evaluate(database)
+    raise_if_incomplete(stats)
+    return [tuple(t.rename(head).atoms) for t in world.relation(answer)]
+
+
+def _flatten(
+    formula: Formula,
+    renaming: dict[str, str],
+    used: set[str],
+    relations: list[RelationAtom],
+    constraints: list[Atom],
+) -> bool:
+    """Collect a conjunctive block's atoms, renaming bound variables apart.
+
+    ``used`` holds the block's free variables and every bound variable met
+    so far; a bound variable already in it is renamed to a fresh name.
+    False when the block holds anything but relation atoms, theory atoms,
+    ``and`` and ``exists``.
+    """
+    if isinstance(formula, RelationAtom):
+        relations.append(formula.rename(renaming))
+        return True
+    if isinstance(formula, Atom):
+        constraints.append(formula.rename(renaming))
+        return True
+    if isinstance(formula, And):
+        return all(
+            _flatten(part, renaming, used, relations, constraints)
+            for part in formula.children
+        )
+    if isinstance(formula, Exists):
+        inner = dict(renaming)
+        for variable in formula.variables_bound:
+            name, suffix = variable, 0
+            while name in used:
+                suffix += 1
+                name = f"{variable}_{suffix}"
+            if name != variable:
+                inner[variable] = name
+            used.add(name)
+        return _flatten(formula.child, inner, used, relations, constraints)
+    return False
 
 
 def conjoin_dnf(left: Dnf, right: Dnf, theory: ConstraintTheory) -> Dnf:

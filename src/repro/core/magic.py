@@ -75,6 +75,7 @@ from repro.logic.syntax import (
     Not,
     RelationAtom,
 )
+from repro.runtime.budget import raise_if_incomplete
 
 #: the placeholder variable a :class:`Binding`'s atoms constrain
 SLOT = "__q"
@@ -701,12 +702,15 @@ def answer_magic_query(
     (or fallback) program, and returns the answer relation with the binding
     selection applied.  This is the minimal driver; :class:`repro.core.
     query.Engine` adds options, statistics, the plan cache and the
-    containment-based result-reuse cache.
+    containment-based result-reuse cache.  With no stats to tag, a budget
+    trip raises :class:`~repro.errors.BudgetExceededError` even under a
+    ``partial_results="fringe"`` budget.
     """
     theory = database.theory
     plan = magic_plan(rules, query, theory)
     world = seed_world(database, plan, query)
     program = DatalogProgram(plan.rules, theory)
-    result_world, _ = program.evaluate(world, max_iterations=max_iterations)
+    result_world, stats = program.evaluate(world, max_iterations=max_iterations)
+    raise_if_incomplete(stats)
     answer = result_world.relation(plan.answer)
     return select_answers(answer, query, theory)

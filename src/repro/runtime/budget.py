@@ -281,6 +281,23 @@ def metered(meter: BudgetMeter | None) -> Iterator[BudgetMeter | None]:
         _ACTIVE_METER.reset(saved)
 
 
+def raise_if_incomplete(stats: Any) -> None:
+    """Raise :class:`BudgetExceededError` if an evaluation stopped at its fringe.
+
+    ``stats`` is the evaluation's ``EvaluationStats``.  A helper that
+    returns only the answer relation drops the stats, and with them the
+    ``incomplete`` tag, so it calls this instead: a fringe answer must never
+    read as the complete one.  The error carries the trip's report.
+    """
+    if not stats.incomplete:
+        return
+    report = ResourceReport(**stats.budget) if stats.budget else None
+    kind = report.budget_kind if report is not None else "a"
+    raise BudgetExceededError(
+        f"{kind} budget exceeded; the fringe answer is partial", report=report
+    )
+
+
 @contextmanager
 def supervised(budget: Budget | None) -> Iterator[BudgetMeter | None]:
     """Run a block under a fresh meter for ``budget`` (``None``: unchanged).

@@ -12,6 +12,15 @@ polynomial time.
 Theorem 2.8's counterexample (the homomorphism property fails for
 semiinterval inequality tableaux) is provided as a constructor pair plus the
 two witness databases from the proof.
+
+Evaluation (:func:`evaluate_tableau`) runs the tableau as one nonrecursive
+rule through the Datalog engine's compiled join, after folding the normal
+form's ``x - y = 0`` links into shared variables
+(:func:`shared_variable_rule`): the rows then meet on one variable, and the
+join's pin filter rejects mismatched values -- Figure 3's users -- without
+a solver call.  The answer-only helpers raise
+:class:`~repro.errors.BudgetExceededError` on a budget trip rather than
+return an untagged fringe.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from repro.constraints.real_poly import PolyAtom, RealPolynomialTheory
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.generalized import GeneralizedDatabase, GeneralizedRelation
 from repro.errors import ArityError
-from repro.runtime.budget import tick
+from repro.logic.syntax import RelationAtom
+from repro.runtime.budget import raise_if_incomplete, tick
 from repro.tableaux.affine import Equation, LinearSystem, contains, equation
 from repro.tableaux.tableau import TableauQuery, TableauRow
 
@@ -136,12 +146,74 @@ def evaluate_tableau(
 ) -> GeneralizedRelation:
     """Evaluate a tableau query over a generalized database.
 
-    The tableau is one nonrecursive Datalog rule; evaluation goes through the
-    standard engine.
+    The tableau is one nonrecursive Datalog rule (:func:`shared_variable_rule`,
+    the normal form with its variable links folded away); evaluation goes
+    through the standard engine.  A budget trip raises
+    :class:`~repro.errors.BudgetExceededError`, as for :func:`rule_output`.
     """
-    program = DatalogProgram([query.as_rule("_tableau_out")], database.theory)
-    world, _ = program.evaluate(database)
-    return world.relation("_tableau_out")
+    return rule_output(shared_variable_rule(query, "_tableau_out"), database)
+
+
+def shared_variable_rule(query: TableauQuery, head_name: str | None = None) -> Rule:
+    """The tableau's rule with the normal form's ``x - y = 0`` links folded.
+
+    The normal form gives each row its own copy of a shared symbol (Figure
+    3's rows each link their ``z`` column to the summary's by an equation),
+    so every pair of rows is a candidate the solver must refute.  Each
+    equation ``x - y = 0`` (unit coefficients, no constant) is folded into
+    one shared variable by union-find, a summary variable representing its
+    class, so the join meets the rows on it and the pin filter rejects
+    mismatched values.  An equation stays an atom when both sides are
+    summary variables or when the merge would put one variable twice in
+    one row.  The rule is equivalent to :meth:`TableauQuery.as_rule`, the
+    literal translation.
+    """
+    summary = set(query.summary)
+    parent: dict[str, str] = {}
+
+    def find(symbol: str) -> str:
+        while symbol in parent:
+            symbol = parent[symbol]
+        return symbol
+
+    kept: list[PolyAtom] = []
+    for atom in query.constraints:
+        link = _variable_link(atom)
+        if link is None:
+            kept.append(atom)
+            continue
+        left, right = find(link[0]), find(link[1])
+        if left == right:
+            continue
+        if left in summary and right in summary or any(
+            {left, right} <= {find(symbol) for symbol in row.symbols}
+            for row in query.rows
+        ):
+            kept.append(atom)
+            continue
+        if right in summary:
+            left, right = right, left
+        parent[right] = left
+    mapping = {symbol: find(symbol) for symbol in parent}
+    body: list[object] = [
+        RelationAtom(row.tag, tuple(mapping.get(s, s) for s in row.symbols))
+        for row in query.rows
+    ]
+    body.extend(atom.rename(mapping) for atom in kept)
+    return Rule(RelationAtom(head_name or query.name, query.summary), tuple(body))
+
+
+def _variable_link(atom: PolyAtom) -> tuple[str, str] | None:
+    """``(x, y)`` for the equation ``x - y = 0``, else None."""
+    if atom.op != "=":
+        return None
+    linear = atom.poly.as_linear()
+    if linear is None or linear[1] or len(linear[0]) != 2:
+        return None
+    (left, a), (right, b) = linear[0].items()
+    if {a, b} != {1, -1}:
+        return None
+    return left, right
 
 
 # ---------------------------------------------------------------- Theorem 2.8
@@ -159,7 +231,6 @@ def semiinterval_counterexample() -> (
     theory as Datalog rules, plus the two witness databases of the proof.
     """
     from repro.constraints.dense_order import gt, lt
-    from repro.logic.syntax import RelationAtom
 
     phi1 = Rule(
         RelationAtom("Rpp", ("u",)),
@@ -196,9 +267,16 @@ def semiinterval_counterexample() -> (
 
 
 def rule_output(rule: Rule, database: GeneralizedDatabase) -> GeneralizedRelation:
-    """Evaluate a single nonrecursive rule over a database."""
+    """Evaluate a single nonrecursive rule over a database.
+
+    Only the answer is returned, so a budget trip raises
+    :class:`~repro.errors.BudgetExceededError` even under a
+    ``partial_results="fringe"`` budget: the fringe's ``incomplete`` tag
+    would be lost with the stats.
+    """
     program = DatalogProgram([rule], database.theory)
-    world, _ = program.evaluate(database)
+    world, stats = program.evaluate(database)
+    raise_if_incomplete(stats)
     return world.relation(rule.head.name)
 
 

@@ -14,6 +14,7 @@ from repro.constraints.real_poly import (
     poly_lt,
     poly_ne,
 )
+from repro.core.generalized import GeneralizedDatabase
 from repro.errors import TheoryError, UnsupportedEliminationError
 from repro.poly.polynomial import poly_var
 
@@ -111,6 +112,48 @@ class TestCanonicalize:
 
     def test_unsat_detected(self):
         assert theory.canonicalize((poly_lt(x, 0), poly_lt(0, x))) is None
+
+
+class TestPins:
+    def test_linear_equation_pins_its_variable_exactly(self):
+        pins = theory.pinned_constants((poly_eq(2 * x - 1, 0),))
+        assert pins == {"x": Fraction(1, 2)}
+        assert isinstance(pins["x"], Fraction)
+
+    def test_point_tuple_pins_every_variable(self):
+        db = GeneralizedDatabase(theory)
+        relation = db.create_relation("R", ("x", "y", "z"))
+        relation.add_point([3, Fraction(-5, 2), 0])
+        (item,) = relation
+        assert theory.pinned_constants(item.atoms) == {
+            "x": Fraction(3),
+            "y": Fraction(-5, 2),
+            "z": Fraction(0),
+        }
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            poly_eq(x, y),
+            poly_eq(x * x, 4),
+            poly_eq(x * y, 1),
+            poly_lt(x, 3),
+            poly_le(x, 3),
+            poly_ne(x, 3),
+        ],
+        ids=["x-y=0", "x^2-4=0", "xy-1=0", "x-3<0", "x-3<=0", "x-3!=0"],
+    )
+    def test_other_shapes_pin_nothing(self, atom):
+        assert theory.pinned_constants((atom,)) == {}
+
+    def test_pins_never_make_a_point_entry(self):
+        # the join's POINT fast path skips elimination at the leaf; the
+        # polynomial theory's pins only feed the pin filter
+        from repro.core.compile import GENERAL, _classify, _pointwise
+
+        atoms = (poly_eq(x, 1), poly_eq(y, 2))
+        pins = dict(theory.pinned_constants(atoms))
+        assert _classify(atoms, pins, _pointwise(theory)) == GENERAL
 
 
 class TestElimination:
