@@ -17,9 +17,12 @@ the change rather than the database:
   increment on insertion -- exact, no over-deletion;
 * **DRed (delete-rederive)** for recursive strata, where counting does not
   terminate: over-delete everything with at least one derivation touching a
-  deleted tuple (iterated through the same expansion rules), then re-derive
-  survivors with alternative derivations and propagate semi-naive, then
-  apply insertions as a standard semi-naive continuation;
+  deleted tuple (semi-naive through the same expansion rules: each round's
+  own-predicate delta is what the round before marked), then re-derive the
+  marked tuples with alternative derivations -- one round that fires only
+  rules whose head has a marked tuple, each with one body atom cut down to
+  the tuples whose pins agree with the marked tuples' -- and propagate
+  semi-naive, then apply insertions as a standard semi-naive continuation;
 * **stratum recomputation** for strata with negation (a complement's delta
   has no useful relationship to the relation's delta) and for rule bodies
   too wide for the expansion (> ``_EXPANSION_CAP`` positive atoms);
@@ -792,19 +795,20 @@ class MaterializedView:
             if name not in stratum.preds
         }
         # --- over-deletion: everything with a derivation through a deleted
-        # tuple, iterated to a fixpoint over the expansion (own relations
-        # still hold their old content, so non-delta positions see old)
+        # tuple, semi-naive over the expansion.  Round 1's delta is the
+        # lower deletions; each later round's is what the round before
+        # marked.  Non-delta positions read the old content (marked tuples
+        # stay stored until the loop ends), so a derivation through marked
+        # tuples fires in the round after its latest mark, and one through
+        # deleted lower tuples fires in round 1
         if any(lower_del.values()):
             rounds = 0
+            delta_map: dict[str, list[GeneralizedTuple]] = lower_del
             while True:
                 rounds += 1
                 if rounds > self.max_iterations:
                     raise FixpointDivergenceError(self.max_iterations)
-                delta_map: dict[str, list[GeneralizedTuple]] = dict(lower_del)
-                for pred in stratum.preds:
-                    if marked[pred]:
-                        delta_map[pred] = list(marked[pred].values())
-                fresh = 0
+                fresh: dict[str, list[GeneralizedTuple]] = {}
                 for pred, item in self._fire_expansion(stratum, delta_map, stats):
                     live = live_rels[pred]
                     key = self._key_of(live, item)
@@ -813,9 +817,10 @@ class MaterializedView:
                     stored = live.lookup(key)
                     if stored is not None:
                         marked[pred][key] = stored
-                        fresh += 1
-                if fresh == 0:
+                        fresh.setdefault(pred, []).append(stored)
+                if not fresh:
                     break
+                delta_map = fresh
             total_marked = sum(len(m) for m in marked.values())
             if total_marked:
                 for pred, items in marked.items():
@@ -823,15 +828,17 @@ class MaterializedView:
                     for key in items:
                         live.discard_key(key)
                 stats.ivm_overdeleted += total_marked
-                # --- re-derivation: one full round over the surviving
-                # content re-admits marked tuples with alternative
-                # derivations, then semi-naive propagation completes the
-                # stratum's fixpoint over its current inputs
-                tasks: list[tuple[Rule, dict | None, int | None]] = [
-                    (rule, None, None) for rule in stratum.rules
-                ]
+                # --- re-derivation: one round over the surviving content
+                # re-admits marked tuples with alternative derivations, then
+                # semi-naive propagation completes the stratum's fixpoint
+                # over its current inputs
                 seeds = self.program._round(
-                    tasks, self.world, stats, caches, 1, self.max_iterations
+                    self._rederivation_tasks(stratum, marked),
+                    self.world,
+                    stats,
+                    caches,
+                    1,
+                    self.max_iterations,
                 )
                 record(seeds)
                 continue_from(seeds)
@@ -859,6 +866,67 @@ class MaterializedView:
                     adds.setdefault(pred, []).append(stored)
                     stats.ivm_derived_added += 1
         stats.ivm_rederived += rederived
+
+    def _rederivation_tasks(
+        self,
+        stratum: _Stratum,
+        marked: Mapping[str, Mapping[Key, GeneralizedTuple]],
+    ) -> list[tuple[Rule, dict | None, int | None]]:
+        """The re-derivation round's tasks, cut down to the marked tuples.
+
+        Over the surviving tuples, a derivation whose key is not marked is
+        already present (the survivors lie inside the old fixpoint, which
+        is closed under the rules; derivations through this batch's
+        insertions are the insertion continuation's), so the round only
+        has to find the derivations of marked keys, and a rule whose head
+        has no marked tuple is not fired.  Otherwise take a positive body
+        atom and one of its arguments that is a head variable ``v`` which
+        every marked head tuple pins: a derivation of a marked key pins
+        ``v`` to that tuple's value, and a body tuple pinning the argument
+        to another value makes the derivation unsatisfiable
+        (``pinned_constants``' contract).  So the atom draws, as the task's
+        semi-naive delta, only from the stored tuples that pin the argument
+        to a marked value or leave it unpinned.  Of several such pairs the
+        one keeping the fewest tuples is taken, and a rule with none fires
+        unrestricted.
+        """
+        pinned = self.theory.pinned_constants
+        rows: dict[str, list[tuple[GeneralizedTuple, Mapping[str, object]]]] = {}
+        tasks: list[tuple[Rule, dict | None, int | None]] = []
+        for rule in stratum.rules:
+            heads = marked[rule.head.name]
+            if not heads:
+                continue
+            head_vars = self.world.relation(rule.head.name).variables
+            head_pins = [pinned(item.atoms) for item in heads.values()]
+            best: tuple[int, str, list[GeneralizedTuple]] | None = None
+            for position, atom in enumerate(rule.positive_atoms):
+                relation = self.world.relation(atom.name)
+                for arg, attribute in zip(atom.args, relation.variables):
+                    if arg not in rule.head.args:
+                        continue
+                    slot = head_vars[rule.head.args.index(arg)]
+                    if not all(slot in pins for pins in head_pins):
+                        continue
+                    values = {pins[slot] for pins in head_pins}
+                    scanned = rows.get(atom.name)
+                    if scanned is None:
+                        scanned = rows[atom.name] = [
+                            (item, pinned(item.atoms)) for item in relation
+                        ]
+                    kept = [
+                        item
+                        for item, pins in scanned
+                        if attribute not in pins or pins[attribute] in values
+                    ]
+                    if best is None or len(kept) < len(best[2]):
+                        best = (position, atom.name, kept)
+            if best is None:
+                tasks.append((rule, None, None))
+            elif best[2]:  # an empty one derives nothing
+                position, name, kept = best
+                tasks.append((rule, {name: kept}, position))
+        return tasks
 
     # ---------------------------------------------------- recompute fallbacks
     def _recompute_stratum(
