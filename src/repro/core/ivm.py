@@ -804,7 +804,7 @@ class MaterializedView:
         if any(lower_del.values()):
             rounds = 0
             delta_map: dict[str, list[GeneralizedTuple]] = lower_del
-            while True:
+            while delta_map:
                 rounds += 1
                 if rounds > self.max_iterations:
                     raise FixpointDivergenceError(self.max_iterations)
@@ -818,8 +818,6 @@ class MaterializedView:
                     if stored is not None:
                         marked[pred][key] = stored
                         fresh.setdefault(pred, []).append(stored)
-                if not fresh:
-                    break
                 delta_map = fresh
             total_marked = sum(len(m) for m in marked.values())
             if total_marked:
