@@ -19,10 +19,11 @@ the change rather than the database:
   terminate: over-delete everything with at least one derivation touching a
   deleted tuple (semi-naive through the same expansion rules: each round's
   own-predicate delta is what the round before marked), then re-derive the
-  marked tuples with alternative derivations -- one round that fires only
-  rules whose head has a marked tuple, each with one body atom cut down to
-  the tuples whose pins agree with the marked tuples' -- and propagate
-  semi-naive, then apply insertions as a standard semi-naive continuation;
+  marked tuples with alternative derivations -- one round that fires each
+  rule whose head has a marked tuple or that reads this batch's insertions
+  once, with one body atom cut down to the tuples whose pins agree with
+  the marked tuples' or that were inserted -- and propagate semi-naive,
+  then apply insertions as a standard semi-naive continuation;
 * **stratum recomputation** for strata with negation (a complement's delta
   has no useful relationship to the relation's delta) and for rule bodies
   too wide for the expansion (> ``_EXPANSION_CAP`` positive atoms);
@@ -794,6 +795,11 @@ class MaterializedView:
             for name in refs
             if name not in stratum.preds
         }
+        lower_add = {
+            name: adds.get(name) or []
+            for name in refs
+            if name not in stratum.preds
+        }
         # --- over-deletion: everything with a derivation through a deleted
         # tuple, semi-naive over the expansion.  Round 1's delta is the
         # lower deletions; each later round's is what the round before
@@ -827,11 +833,13 @@ class MaterializedView:
                         live.discard_key(key)
                 stats.ivm_overdeleted += total_marked
                 # --- re-derivation: one round over the surviving content
-                # re-admits marked tuples with alternative derivations, then
+                # re-admits marked tuples with alternative derivations and
+                # admits what this batch's lower insertions derive, then
                 # semi-naive propagation completes the stratum's fixpoint
                 # over its current inputs
+                inserted = {name: items for name, items in lower_add.items() if items}
                 seeds = self.program._round(
-                    self._rederivation_tasks(stratum, marked),
+                    self._rederivation_tasks(stratum, marked, inserted, stats),
                     self.world,
                     stats,
                     caches,
@@ -842,11 +850,6 @@ class MaterializedView:
                 continue_from(seeds)
         # --- insertion: standard semi-naive continuation seeded with the
         # lower strata's (and EDB) additions
-        lower_add = {
-            name: adds.get(name) or []
-            for name in refs
-            if name not in stratum.preds
-        }
         if any(lower_add.values()):
             continue_from(lower_add)
         # --- net deltas for the strata above
@@ -869,53 +872,75 @@ class MaterializedView:
         self,
         stratum: _Stratum,
         marked: Mapping[str, Mapping[Key, GeneralizedTuple]],
+        inserted: dict[str, list[GeneralizedTuple]],
+        stats: EvaluationStats,
     ) -> list[tuple[Rule, dict | None, int | None]]:
-        """The re-derivation round's tasks, cut down to the marked tuples.
+        """The re-derivation round's tasks, cut down to what it must find.
 
-        Over the surviving tuples, a derivation whose key is not marked is
-        already present (the survivors lie inside the old fixpoint, which
-        is closed under the rules; derivations through this batch's
-        insertions are the insertion continuation's), so the round only
-        has to find the derivations of marked keys, and a rule whose head
-        has no marked tuple is not fired.  Otherwise take a positive body
-        atom and one of its arguments that is a head variable ``v`` which
-        every marked head tuple pins: a derivation of a marked key pins
-        ``v`` to that tuple's value, and a body tuple pinning the argument
-        to another value makes the derivation unsatisfiable
-        (``pinned_constants``' contract).  So the atom draws, as the task's
-        semi-naive delta, only from the stored tuples that pin the argument
-        to a marked value or leave it unpinned.  Of several such pairs the
-        one keeping the fewest tuples is taken, and a rule with none fires
-        unrestricted.
+        Over the surviving tuples and the lower strata's current content, a
+        derivation whose key is not marked and that reads no tuple this
+        batch ``inserted`` is already present (the survivors lie inside the
+        old fixpoint, which is closed under the rules).  So the round finds
+        the same new keys as one firing every rule over everything if each
+        rule finds its derivations of marked keys and those through
+        inserted tuples.  A rule fires at most once, so no derivation is
+        found twice:
+
+        * a rule whose head has no marked tuple fires only if it reads an
+          inserted predicate, as a semi-naive task on the insertions;
+        * otherwise it takes a positive body atom, and one of its arguments
+          that is a head variable ``v`` which every marked head tuple pins.
+          A derivation of a marked key pins ``v`` to that tuple's value,
+          and a body tuple pinning the argument to another value makes the
+          derivation unsatisfiable (``pinned_constants``' contract).  So
+          the atom draws, as the task's semi-naive delta, only the stored
+          tuples that pin the argument to a marked value, leave it
+          unpinned, or were inserted.  The pins are the compiled join's
+          cached entry records, read once per stored tuple of each
+          candidate atom's relation.  A rule that reads an inserted
+          predicate must take that atom, where its derivations through
+          insertions have their inserted tuple.  Of several such pairs the
+          one keeping the fewest tuples is taken;
+        * a rule with no such pair, or reading two inserted atoms, fires
+          unrestricted.
         """
+        caches = self._require(self._caches)
         pinned = self.theory.pinned_constants
-        rows: dict[str, list[tuple[GeneralizedTuple, Mapping[str, object]]]] = {}
         tasks: list[tuple[Rule, dict | None, int | None]] = []
         for rule in stratum.rules:
+            atoms = rule.positive_atoms
+            reads = [p for p, atom in enumerate(atoms) if atom.name in inserted]
             heads = marked[rule.head.name]
+            if len(reads) > 1:
+                tasks.append((rule, None, None))
+                continue
             if not heads:
+                if reads:
+                    tasks.append((rule, inserted, reads[0]))
                 continue
             head_vars = self.world.relation(rule.head.name).variables
             head_pins = [pinned(item.atoms) for item in heads.values()]
+            compiled = caches.rules[id(rule)]
             best: tuple[int, str, list[GeneralizedTuple]] | None = None
-            for position, atom in enumerate(rule.positive_atoms):
-                relation = self.world.relation(atom.name)
-                for arg, attribute in zip(atom.args, relation.variables):
+            for position in reads or range(len(atoms)):
+                atom = atoms[position]
+                new = {id(item) for item in inserted.get(atom.name, ())}
+                items: list[GeneralizedTuple] = []
+                records: list | None = None
+                for arg in dict.fromkeys(atom.args):
                     if arg not in rule.head.args:
                         continue
                     slot = head_vars[rule.head.args.index(arg)]
                     if not all(slot in pins for pins in head_pins):
                         continue
                     values = {pins[slot] for pins in head_pins}
-                    scanned = rows.get(atom.name)
-                    if scanned is None:
-                        scanned = rows[atom.name] = [
-                            (item, pinned(item.atoms)) for item in relation
-                        ]
+                    if records is None:
+                        items = list(self.world.relation(atom.name))
+                        records = compiled._records_for(atom, items, caches, stats)
                     kept = [
                         item
-                        for item, pins in scanned
-                        if attribute not in pins or pins[attribute] in values
+                        for item, (_renamed, pins, _kind) in zip(items, records)
+                        if arg not in pins or pins[arg] in values or id(item) in new
                     ]
                     if best is None or len(kept) < len(best[2]):
                         best = (position, atom.name, kept)

@@ -11,11 +11,14 @@ committed trajectory file::
 An entry holds the commit, the workload, the run length, the seeds, the
 attempted and failed operation counts summed over the runs, and, for every
 ``end_to_end`` metric ``BENCHMARK.json`` names, its unit, median and
-quartiles (``statistics.quantiles`` with ``n=4``).  Fewer than two runs,
-runs of mixed workloads, runs missing a metric and a second entry for the
-same (commit, workload) are rejected.  The file is append-only: one entry per line inside a JSON
-list, and appending rewrites only the closing bracket, so earlier entries
-stay byte-identical.  ``BENCHMARK.json`` is read, never written.
+quartiles (``statistics.quantiles`` with ``n=4``).  ``run.py`` does not
+print its run length, so entries are made only from runs of the default
+length, ``BENCHMARK.json``'s ``run_seconds``, which is what an entry
+records.  Fewer than two runs, runs of mixed workloads, runs missing a
+metric and a second entry for the same (commit, workload) are rejected.
+The file is append-only: one entry per line inside a JSON list, and
+appending rewrites only the closing bracket, so earlier entries stay
+byte-identical.  ``BENCHMARK.json`` is read, never written.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 import statistics
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 #: the trajectory file, in the current working directory by default
 DEFAULT_PATH = "BENCH_perf.json"
@@ -62,10 +65,10 @@ def make_entry(
     runs: Sequence[Run],
     *,
     commit: str,
-    run_seconds: float,
     benchmark: dict[str, Any],
 ) -> dict[str, Any]:
-    """One trajectory entry for ``runs`` of a single workload."""
+    """One trajectory entry for ``runs`` of a single workload, each of
+    ``benchmark``'s default run length."""
     if len(runs) < 2:
         raise PerfRecordError(f"need at least two runs for quartiles, got {len(runs)}")
     workloads = sorted({detail["workload"] for detail, _result in runs})
@@ -92,7 +95,7 @@ def make_entry(
     return {
         "commit": commit,
         "workload": workloads[0],
-        "run_seconds": run_seconds,
+        "run_seconds": benchmark["run_seconds"],
         "seeds": [detail["seed"] for detail, _result in runs],
         "attempted": sum(result["attempted"] for _detail, result in runs),
         "failed": sum(result["failed"] for _detail, result in runs),
@@ -120,30 +123,20 @@ def append_entry(path: Path, entry: dict[str, Any]) -> None:
     path.write_text(text[: -len(_CLOSE)] + ",\n" + line + _CLOSE)
 
 
-def _read_texts(names: Iterable[str]) -> list[str]:
-    return [Path(name).read_text() for name in names] or [sys.stdin.read()]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness.perfrecord",
         description="Append perfbench runs to the performance trajectory.",
     )
-    parser.add_argument("runs", nargs="*", help="saved run.py stdout (default: stdin)")
+    parser.add_argument("runs", nargs="+", help="saved stdout of default-length run.py runs")
     parser.add_argument("--commit", required=True)
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
     parser.add_argument("--benchmark", default=BENCHMARK_PATH)
     parser.add_argument("--out", default=DEFAULT_PATH)
     args = parser.parse_args(argv)
     benchmark = json.loads(Path(args.benchmark).read_text())
-    runs = [run for text in _read_texts(args.runs) for run in parse_runs(text)]
+    runs = [run for name in args.runs for run in parse_runs(Path(name).read_text())]
     try:
-        entry = make_entry(
-            runs,
-            commit=args.commit,
-            run_seconds=args.seconds if args.seconds is not None else benchmark["run_seconds"],
-            benchmark=benchmark,
-        )
+        entry = make_entry(runs, commit=args.commit, benchmark=benchmark)
         append_entry(Path(args.out), entry)
     except PerfRecordError as error:
         print(f"error: {error}", file=sys.stderr)

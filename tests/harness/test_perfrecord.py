@@ -44,7 +44,7 @@ def _runs(*texts):
 
 def test_an_entry_holds_the_median_and_quartiles_of_each_metric():
     runs = _runs(*(_stdout("live_view", 700 + v, float(v)) for v in (5, 1, 4, 2, 3)))
-    entry = make_entry(runs, commit="abc", run_seconds=25, benchmark=BENCHMARK)
+    entry = make_entry(runs, commit="abc", benchmark=BENCHMARK)
     assert entry["workload"] == "live_view"
     assert entry["seeds"] == [705, 701, 704, 702, 703]
     assert (entry["attempted"], entry["failed"]) == (500, 0)
@@ -54,16 +54,16 @@ def test_an_entry_holds_the_median_and_quartiles_of_each_metric():
     assert ops["unit"] == "1/s"
     assert set(entry["metrics"]) == {"ops_per_s", "op_p50_ms"}
     with pytest.raises(PerfRecordError, match="two runs"):
-        make_entry(runs[:1], commit="abc", run_seconds=25, benchmark=BENCHMARK)
+        make_entry(runs[:1], commit="abc", benchmark=BENCHMARK)
 
 
 def test_appending_keeps_earlier_entries_byte_identical(tmp_path):
     path = tmp_path / "BENCH_perf.json"
     runs = _runs(_stdout("live_view", 1, 100.0), _stdout("live_view", 2, 110.0))
-    first = make_entry(runs, commit="aaa", run_seconds=25, benchmark=BENCHMARK)
+    first = make_entry(runs, commit="aaa", benchmark=BENCHMARK)
     append_entry(path, first)
     before = path.read_text()
-    second = make_entry(runs, commit="bbb", run_seconds=25, benchmark=BENCHMARK)
+    second = make_entry(runs, commit="bbb", benchmark=BENCHMARK)
     append_entry(path, second)
     after = path.read_text()
     assert after.startswith(before[: -len("\n]\n")] + ",\n")
@@ -76,7 +76,7 @@ def test_appending_keeps_earlier_entries_byte_identical(tmp_path):
 def test_runs_of_mixed_workloads_are_rejected():
     runs = _runs(_stdout("live_view", 1, 100.0), _stdout("bound_queries", 2, 300.0))
     with pytest.raises(PerfRecordError, match="mixed workloads"):
-        make_entry(runs, commit="abc", run_seconds=25, benchmark=BENCHMARK)
+        make_entry(runs, commit="abc", benchmark=BENCHMARK)
 
 
 def test_a_run_missing_a_metric_is_rejected():
@@ -85,7 +85,7 @@ def test_a_run_missing_a_metric_is_rejected():
         _stdout("live_view", 2, 100.0, skip=("op_p50_ms",)),
     )
     with pytest.raises(PerfRecordError, match="op_p50_ms"):
-        make_entry(runs, commit="abc", run_seconds=25, benchmark=BENCHMARK)
+        make_entry(runs, commit="abc", benchmark=BENCHMARK)
 
 
 def test_the_cli_reads_the_benchmark_file_and_never_writes_it(tmp_path, capsys):
