@@ -19,11 +19,12 @@ the change rather than the database:
   terminate: over-delete everything with at least one derivation touching a
   deleted tuple (semi-naive through the same expansion rules: each round's
   own-predicate delta is what the round before marked), then re-derive the
-  marked tuples with alternative derivations -- one round that fires each
-  rule whose head has a marked tuple or that reads this batch's insertions
-  once, with one body atom cut down to the tuples whose pins agree with
-  the marked tuples' or that were inserted -- and propagate semi-naive,
-  then apply insertions as a standard semi-naive continuation;
+  marked tuples with alternative derivations -- one round that fires, at
+  most once each, the rules whose head has a marked tuple or that read
+  this batch's insertions, with one body atom cut down to the tuples whose
+  pins agree with the marked tuples' or that were inserted -- and
+  propagate semi-naive, then apply insertions as a standard semi-naive
+  continuation;
 * **stratum recomputation** for strata with negation (a complement's delta
   has no useful relationship to the relation's delta) and for rule bodies
   too wide for the expansion (> ``_EXPANSION_CAP`` positive atoms);
