@@ -78,6 +78,8 @@ HELP = """commands:
                           rule head -- .query T(0, y) or .query T(x, y), x < 3
                           -- runs demand-driven (magic sets): only the cone
                           relevant to the bindings is derived, no .run needed.
+                          With a fresh live view it is selected from the
+                          maintained fixpoint instead (maintained view).
                           Anything else is a calculus query over the current
                           database, e.g. exists x . R(n, x)
   .rule HEAD :- BODY.     add a Datalog rule
@@ -358,8 +360,10 @@ class Shell:
         Fires only for quantifier-free goals naming an IDB head of the
         accumulated rules -- ``.query T(0, y)`` or ``.query T(x, y), x < 3``
         evaluate just the relevant cone via the magic-set rewrite instead
-        of requiring a full ``.run`` first.  Everything else (calculus
-        formulas, EDB atoms, quantified queries) keeps the calculus path.
+        of requiring a full ``.run`` first; with a fresh live view the
+        engine selects the answers from the maintained relation instead.
+        Everything else (calculus formulas, EDB atoms, quantified queries)
+        keeps the calculus path.
         """
         rules = self.view.program.rules if self.view is not None else self.rules
         if not rules or any(word in text for word in ("exists", "forall")):
@@ -384,7 +388,9 @@ class Shell:
         with supervised(self.budget):
             result = engine.query(text)
         self.write(str(result.relation))
-        if result.full_fallback:
+        if result.from_view:
+            mode = "maintained view"
+        elif result.full_fallback:
             mode = "full-evaluation fallback"
         elif not self.engine.magic:
             mode = "full fixpoint (magic off)"

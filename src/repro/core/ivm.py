@@ -23,8 +23,8 @@ the change rather than the database:
   most once each, the rules whose head has a marked tuple or that read
   this batch's insertions, with one body atom cut down to the tuples whose
   pins agree with the marked tuples' or that were inserted -- and
-  propagate semi-naive, then apply insertions as a standard semi-naive
-  continuation;
+  propagate semi-naive; a batch that marks nothing applies its insertions
+  as a standard semi-naive continuation instead;
 * **stratum recomputation** for strata with negation (a complement's delta
   has no useful relationship to the relation's delta) and for rule bodies
   too wide for the expansion (> ``_EXPANSION_CAP`` positive atoms);
@@ -808,6 +808,7 @@ class MaterializedView:
         # stay stored until the loop ends), so a derivation through marked
         # tuples fires in the round after its latest mark, and one through
         # deleted lower tuples fires in round 1
+        rederived_round = False
         if any(lower_del.values()):
             rounds = 0
             delta_map: dict[str, list[GeneralizedTuple]] = lower_del
@@ -849,9 +850,11 @@ class MaterializedView:
                 )
                 record(seeds)
                 continue_from(seeds)
+                rederived_round = True
         # --- insertion: standard semi-naive continuation seeded with the
-        # lower strata's (and EDB) additions
-        if any(lower_add.values()):
+        # lower strata's (and EDB) additions; the re-derivation round, if
+        # one ran, already fired them, and its continuation found the rest
+        if not rederived_round and any(lower_add.values()):
             continue_from(lower_add)
         # --- net deltas for the strata above
         rederived = 0

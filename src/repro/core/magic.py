@@ -65,7 +65,11 @@ from typing import Any, Iterable, Sequence, cast
 from repro.analysis.graph import build_dependency_graph
 from repro.constraints.base import ConstraintTheory
 from repro.core.datalog import DatalogProgram, Rule
-from repro.core.generalized import GeneralizedDatabase, GeneralizedRelation
+from repro.core.generalized import (
+    GeneralizedDatabase,
+    GeneralizedRelation,
+    GeneralizedTuple,
+)
 from repro.errors import EvaluationError
 from repro.logic.syntax import (
     And,
@@ -673,6 +677,7 @@ def select_answers(
     query: MagicQuery,
     theory: ConstraintTheory,
     name: str | None = None,
+    candidates: Iterable[GeneralizedTuple] | None = None,
 ) -> GeneralizedRelation:
     """Apply the query's binding selection to an answer relation.
 
@@ -680,12 +685,15 @@ def select_answers(
     tuple overlaps the bindings, but its constraint may extend beyond them.
     Conjoining the selection atoms and re-canonicalizing lands the answers
     on exactly the canonical forms of full-fixpoint-then-filter.
+    ``candidates`` narrows the tuples of ``answer`` the selection is
+    conjoined to (default: all of them); it must hold every tuple whose
+    conjunction with the selection is satisfiable.
     """
     selected = GeneralizedRelation(
         name or f"{query.predicate}_answers", answer.variables, theory
     )
     selection = query.selection_atoms(answer.variables, theory)
-    for item in answer:
+    for item in answer if candidates is None else candidates:
         selected.add_tuple(tuple(item.atoms) + selection)
     return selected
 

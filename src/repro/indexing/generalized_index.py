@@ -9,7 +9,8 @@ the interval set.
 
 The projection of a dense-order generalized tuple on an attribute is always
 one interval (the conjunction describes an order-convex set), computed here
-by the theory's quantifier elimination.  A naive baseline
+by the theory's quantifier elimination, or read off a pin ``x = c`` as
+``[c, c]`` when the tuple has one.  A naive baseline
 (:class:`NaiveGeneralizedSearch`) performs the paper's "trivial, but
 inefficient, solution": add the constraint to every tuple and scan.
 
@@ -39,10 +40,14 @@ def tuple_projection_interval(
 
     Returns None for an unsatisfiable tuple.  For the dense-order theory the
     projection is exactly one (possibly unbounded, possibly degenerate)
-    interval.
+    interval.  A satisfiable tuple that pins the attribute to ``c`` projects
+    to ``{c}``, so its key is read off the pin without an elimination.
     """
     if not theory.is_satisfiable(item.atoms):
         return None
+    pinned = theory.pinned_constants(item.atoms).get(attribute)
+    if pinned is not None:
+        return Interval(pinned, pinned, payload=item)
     # drop disequalities up front: a punctured interval's *key* is its hull
     # (keys may over-cover -- the search conjoins the true constraints, so
     # false positives are filtered, never false negatives)
@@ -137,7 +142,11 @@ class GeneralizedIndex1D:
         self._pending[key] = item
 
     def remove(self, key: frozenset) -> bool:
-        """Drop the tuple stored under ``key``: one tree deletion, no rebuild."""
+        """Drop the tuple stored under ``key``: one tree deletion, no rebuild.
+
+        The tree is handed the very interval it stored, which it finds in
+        its bucket by identity.
+        """
         with self._lock:
             if self._pending.pop(key, None) is not None:
                 return True

@@ -33,19 +33,23 @@ def _max_high(a: _HighKey, b: _HighKey) -> _HighKey:
 
 
 class _Node:
-    __slots__ = ("interval", "left", "right", "height", "max_high", "bucket")
+    """One key's bucket of intervals, with the key and the bucket's highest
+    upper end cached: both are read at every node an update passes."""
+
+    __slots__ = (
+        "interval", "key", "left", "right", "height", "max_high", "bucket",
+        "bucket_high",
+    )
 
     def __init__(self, interval: Interval) -> None:
         self.interval = interval
+        self.key = interval.sort_key()
         self.bucket: list[Interval] = [interval]  # same-key intervals
+        self.bucket_high = _high_key(interval)
         self.left: _Node | None = None
         self.right: _Node | None = None
         self.height = 1
-        self.max_high = _high_key(interval)
-
-    @property
-    def key(self) -> tuple:
-        return self.interval.sort_key()
+        self.max_high = self.bucket_high
 
 
 def _height(node: _Node | None) -> int:
@@ -54,12 +58,30 @@ def _height(node: _Node | None) -> int:
 
 def _update(node: _Node) -> None:
     node.height = 1 + max(_height(node.left), _height(node.right))
-    best = max(_high_key(i) for i in node.bucket)
+    best = node.bucket_high
     if node.left:
         best = _max_high(best, node.left.max_high)
     if node.right:
         best = _max_high(best, node.right.max_high)
     node.max_high = best
+
+
+def _position(bucket: list[Interval], interval: Interval) -> int | None:
+    """Where ``interval`` sits in a bucket: the object itself, else one with
+    equal endpoints and payload, else one with equal endpoints.
+
+    A position, not ``list.remove``: that compares with ``==``, which ignores
+    payloads and could evict a same-endpoint interval of another payload.
+    """
+    for matches in (
+        lambda existing: existing is interval,
+        lambda existing: existing == interval and existing.payload == interval.payload,
+        lambda existing: existing == interval,
+    ):
+        for position, existing in enumerate(bucket):
+            if matches(existing):
+                return position
+    return None
 
 
 def _rotate_right(node: _Node) -> _Node:
@@ -112,65 +134,55 @@ class IntervalTree:
 
     # ---------------------------------------------------------------- update
     def insert(self, interval: Interval) -> None:
-        self._root = self._insert(self._root, interval)
+        self._root = self._insert(self._root, interval, interval.sort_key())
         self._size += 1
 
-    def _insert(self, node: _Node | None, interval: Interval) -> _Node:
+    def _insert(self, node: _Node | None, interval: Interval, key: tuple) -> _Node:
         if node is None:
             return _Node(interval)
-        key = interval.sort_key()
         if key == node.key:
             node.bucket.append(interval)
+            node.bucket_high = _max_high(node.bucket_high, _high_key(interval))
             _update(node)
             return node
         if key < node.key:
-            node.left = self._insert(node.left, interval)
+            node.left = self._insert(node.left, interval, key)
         else:
-            node.right = self._insert(node.right, interval)
+            node.right = self._insert(node.right, interval, key)
         return _balance(node)
 
     def remove(self, interval: Interval) -> bool:
-        """Remove one occurrence of an equal interval; returns success."""
-        removed, self._root = self._remove(self._root, interval)
+        """Remove ``interval`` itself if stored, else one equal interval.
+
+        An equal interval is one with an equal payload if there is one, else
+        any with equal endpoints (``Interval`` equality ignores payloads).
+        Returns success.
+        """
+        removed, self._root = self._remove(self._root, interval, interval.sort_key())
         if removed:
             self._size -= 1
         return removed
 
     def _remove(
-        self, node: _Node | None, interval: Interval
+        self, node: _Node | None, interval: Interval, key: tuple
     ) -> tuple[bool, _Node | None]:
         if node is None:
             return False, None
-        key = interval.sort_key()
         if key < node.key:
-            removed, node.left = self._remove(node.left, interval)
+            removed, node.left = self._remove(node.left, interval, key)
         elif key > node.key:
-            removed, node.right = self._remove(node.right, interval)
+            removed, node.right = self._remove(node.right, interval, key)
         else:
-            # prefer an exact payload match, else any interval with equal
-            # endpoints (Interval equality ignores payloads)
-            match = next(
-                (
-                    i
-                    for i in node.bucket
-                    if i == interval and i.payload == interval.payload
-                ),
-                None,
-            )
-            if match is None:
-                match = next((i for i in node.bucket if i == interval), None)
-            if match is None:
+            bucket = node.bucket
+            position = _position(bucket, interval)
+            if position is None:
                 return False, node
-            # remove by identity: list.remove compares with ==, which ignores
-            # payloads and could evict a same-endpoint interval of another
-            # payload from the bucket
-            for position, existing in enumerate(node.bucket):
-                if existing is match:
-                    del node.bucket[position]
-                    break
-            removed = True
-            if not node.bucket:
+            del bucket[position]
+            if not bucket:
                 return True, self._drop_node(node)
+            node.interval = bucket[0]
+            node.bucket_high = max(map(_high_key, bucket))
+            removed = True
         if removed:
             return True, _balance(node)
         return False, node

@@ -312,7 +312,8 @@ class TestMagicQueryRouting:
             ".insert E: x = 2 and y = 3",
             ".query T(0, y)",
         ])
-        assert "3 answer(s) [T^bf" in output
+        assert "3 answer(s) [T^bf, maintained view, cone 3 tuple(s)]" in output
+        assert "magic rule(s)" not in output
 
     def test_budget_fringe_answer_is_tagged(self):
         output = run([

@@ -237,6 +237,37 @@ def test_an_insert_in_the_same_batch_rederives_an_overdeleted_tuple(rules):
     _assert_same_as_full_round(stats, twin.apply(**batch))
 
 
+@pytest.mark.parametrize("rules", [LEFT, RIGHT], ids=["left", "right"])
+def test_a_mixed_batch_runs_one_semi_naive_continuation(rules, monkeypatch):
+    # the re-derivation round already fires the batch's insertions and its
+    # continuation finds the rest, so no insertion continuation follows it
+    edges = [_point(i, i + 1) for i in range(5)]
+    program, view = _view(rules, edges)
+    calls = []
+    original = DatalogProgram._semi_naive_rounds
+
+    def counting(self, *args, **kwargs):
+        calls.append(rules)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DatalogProgram, "_semi_naive_rounds", counting)
+    batch = {"inserts": [("E", _point(5, 6))], "retracts": [("E", _point(1, 2))]}
+    stats = view.apply(**batch)
+    assert stats.ivm_overdeleted > 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert (0, 6) not in _points(view, "T") and (2, 6) in _points(view, "T")
+    _assert_equals_scratch(program, view)
+    # a batch that marks nothing still applies its insertions
+    monkeypatch.setattr(DatalogProgram, "_semi_naive_rounds", counting)
+    calls.clear()
+    view.apply(inserts=[("E", _point(0, 2))])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert (0, 6) in _points(view, "T")
+    _assert_equals_scratch(program, view)
+
+
 def test_a_mixed_batch_fires_each_rule_once(rederivation_tasks):
     edges = [_point(i, i + 1) for i in range(6)]
     program, view = _view(TWO_STEP, edges)

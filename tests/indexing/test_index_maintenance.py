@@ -202,11 +202,13 @@ class TestKeyFaults:
         _assert_in_agreement(relation, index)
         # a probe whose key computation faults part-way through the queue
         # keys nothing: the first queued tuple's key is computed, the
-        # second one raises, and both stay queued for the next probe
+        # second one raises, and both stay queued for the next probe (the
+        # first, a point, is keyed by its pin, so the fault is armed on
+        # the satisfiability check every key starts with)
         relation.add_tuple((eq("x", Fraction(4)), eq("y", Fraction(9))))
         relation.add_tuple((lt(Fraction(2), "x"), eq("y", Fraction(8))))
         relation.discard(relation.tuples()[0])
-        theory.arm("eliminate", skip=1)
+        theory.arm("is_satisfiable", skip=1)
         with pytest.raises(TheoryError):
             index.candidates(Fraction(4), Fraction(4))
         _assert_in_agreement(relation, index)
