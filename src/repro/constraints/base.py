@@ -74,9 +74,15 @@ class TheoryCache:
     the join re-tests overlapping partial conjunctions), which is where the
     memoization pays for itself.
 
+    A conjunction of ``var = const`` pins on distinct variables (a classical
+    point tuple, Example 1.5) is neither stored nor counted: the theory reads
+    its canonical form off the atoms (:meth:`ConstraintTheory._point_form`),
+    which costs less than hashing its key.
+
     Entries are evicted FIFO once ``maxsize`` is exceeded, bounding memory on
-    pathological workloads; ``enabled`` can be flipped at runtime (the engine
-    ablation flags use this).
+    pathological workloads.  Only the flag-free reference evaluator flips
+    ``enabled`` (off for its own run); with the memo off every conjunction,
+    point tuples included, goes through the theory's solver.
     """
 
     def __init__(self, maxsize: int = 1 << 16) -> None:
@@ -187,6 +193,8 @@ class ConstraintTheory(ABC):
         cache = self.cache
         if cache is None or not cache.enabled:
             return self._is_satisfiable(atoms)
+        if self._point_form(atoms) is not None:
+            return True
         key = frozenset(atoms)
         found = cache.lookup_sat(key)
         if found is not _MISS:
@@ -206,6 +214,9 @@ class ConstraintTheory(ABC):
         cache = self.cache
         if cache is None or not cache.enabled:
             return self._canonicalize(atoms)
+        point = self._point_form(atoms)
+        if point is not None:
+            return point
         key = frozenset(atoms)
         found = cache.lookup_canon(key)
         if found is not _MISS:
@@ -228,6 +239,17 @@ class ConstraintTheory(ABC):
     @abstractmethod
     def _canonicalize(self, atoms: Sequence[Atom]) -> Conjunction | None:
         """Uncached canonicalization (the actual normalizer)."""
+
+    def _point_form(self, atoms: Sequence[Atom]) -> Conjunction | None:
+        """The canonical form of a point conjunction, read off its atoms.
+
+        A theory whose point tuples (one ``var = const`` pin per variable)
+        can be recognized by inspection returns exactly what
+        :meth:`_canonicalize` would, and ``None`` for anything else -- which
+        then goes through the memo and the solver.  Such a conjunction is
+        always satisfiable.  The default recognizes nothing.
+        """
+        return None
 
     def pinned_constants(self, atoms: Sequence[Atom]) -> Mapping[str, Any]:
         """Variables the conjunction forces equal to a specific constant.

@@ -206,6 +206,34 @@ class RealPolynomialTheory(ConstraintTheory):
         # fully ground now: any surviving branch is satisfiable
         return any(simplify_conj(conj) is not None for conj in dnf)
 
+    def _point_form(self, atoms: Sequence[Atom]) -> Conjunction | None:
+        """A conjunction of equations ``a*x + b = 0``, each linear in one
+        variable and one per variable, in :meth:`_canonicalize`'s normal
+        form: primitive, sorted.
+
+        Such a conjunction is satisfiable by inspection (at ``x = -b/a``
+        for each), so the elimination ladder that :meth:`_canonicalize`
+        would run on it is skipped.  A variable with two different
+        equations, or any other atom, is left to :meth:`_canonicalize`.
+        """
+        pins: dict[str, Atom] = {}
+        for atom in atoms:
+            if type(atom) is not PolyAtom or atom.op != "=":
+                return None
+            linear = atom.poly.as_linear()
+            if linear is None or len(linear[0]) != 1:
+                return None
+            (name,) = linear[0]
+            seen = pins.setdefault(name, atom)
+            if seen is not atom and seen != atom:
+                return None
+        return tuple(
+            sorted(
+                (PolyAtom(atom.poly.primitive(), "=") for atom in pins.values()),
+                key=str,
+            )
+        )
+
     def _canonicalize(self, atoms: Sequence[Atom]) -> Conjunction | None:
         """Normalized form: primitive polynomials, deduplicated, sorted.
 

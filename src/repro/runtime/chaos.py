@@ -239,9 +239,10 @@ class _TheoryWrapper(ConstraintTheory):
     """Shared delegation plumbing for :class:`ChaosTheory`/:class:`ResilientTheory`.
 
     The wrapper shares the inner theory's :class:`TheoryCache` object (the
-    engine flips ``theory.cache.enabled`` -- both layers must observe it) and
-    delegates every operation; subclasses interpose on the public entry
-    points only.
+    reference evaluator flips ``theory.cache.enabled`` off for its run, which
+    sends every conjunction through the theory's solver -- both layers must
+    observe it) and delegates every operation; subclasses interpose on the
+    public entry points only.
     """
 
     def __init__(self, inner: ConstraintTheory) -> None:

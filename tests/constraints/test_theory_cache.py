@@ -1,8 +1,8 @@
 """Tests for the TheoryCache memo layer on ConstraintTheory."""
 
 
-from repro.constraints.base import TheoryCache
-from repro.constraints.dense_order import DenseOrderTheory, le, lt
+from repro.constraints.base import TheoryCache, TheoryCacheStats
+from repro.constraints.dense_order import DenseOrderTheory, eq, le, lt
 from repro.constraints.real_poly import RealPolynomialTheory, poly_lt
 from repro.core.datalog import DatalogProgram
 from repro.core.generalized import GeneralizedDatabase
@@ -101,6 +101,46 @@ class TestEnableAndEviction:
         assert theory.cache.stats.sat_misses == 2
 
 
+class TestPointLane:
+    def test_point_conjunction_bypasses_the_memo(self):
+        # a conjunction of pins is canonical by inspection: neither stored
+        # nor counted, on either entry point
+        theory = DenseOrderTheory()
+        conj = (eq("y", 2), eq("x", 1))
+        assert theory.canonicalize(conj) == (eq("x", 1), eq("y", 2))
+        assert theory.is_satisfiable(conj)
+        assert theory.cache.stats.as_dict() == TheoryCacheStats().as_dict()
+        assert not theory.cache._canon and not theory.cache._sat
+
+    def test_memo_off_sends_points_through_the_solver(self, monkeypatch):
+        # with the memo off (the reference evaluator's route) a point
+        # conjunction is canonicalized by the closure, not by the lane
+        theory = DenseOrderTheory()
+        theory.cache.enabled = False
+        calls = []
+        solver = theory._canonicalize
+
+        def counted(atoms):
+            calls.append(tuple(atoms))
+            return solver(atoms)
+
+        monkeypatch.setattr(theory, "_canonicalize", counted)
+        conj = (eq("x", 1), eq("y", 2))
+        assert theory.canonicalize(conj) == conj
+        assert calls == [conj]
+
+
+def _chain_with_interval(theory, length):
+    """A point chain 0 -> ... -> length plus one interval edge, whose
+    derived tuples are not points and so go through the memo."""
+    db = GeneralizedDatabase(theory)
+    edges = db.create_relation("E", ("x", "y"))
+    for i in range(length):
+        edges.add_point([i, i + 1])
+    edges.add_tuple((le(1, "x"), lt("x", "y"), le("y", 3)))
+    return db
+
+
 class TestEngineIntegration:
     def test_evaluate_restores_enabled_flag(self):
         # an evaluation leaves the cache's enabled state as it found it
@@ -119,10 +159,7 @@ class TestEngineIntegration:
 
     def test_stats_report_nonzero_cache_hits(self):
         theory = DenseOrderTheory()
-        db = GeneralizedDatabase(theory)
-        edges = db.create_relation("E", ("x", "y"))
-        for i in range(6):
-            edges.add_point([i, i + 1])
+        db = _chain_with_interval(theory, 6)
         rules = parse_rules(
             "T(x, y) :- E(x, y).\nT(x, y) :- T(x, z), E(z, y).", theory=theory
         )
