@@ -25,8 +25,10 @@ procedures implemented here are the engine room of Sections 3.1-3.3:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.constraints.base import Conjunction, ConjunctionContext, ConstraintTheory
@@ -48,6 +50,9 @@ from repro.logic.syntax import Atom, Formula, Or
 _OPS = ("<", "<=", "=", "!=")
 
 _SYMMETRIC = {"=", "!="}
+
+#: the sort key of a ``(value, index)`` pair in ``_Closure._constants``
+_value_of = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +157,12 @@ class _Closure:
     closure decides satisfiability exactly (the classical order-graph
     argument); rows of the reachability matrices are stored as integer
     bitmasks so the Warshall closure runs on machine words.
+
+    The order among the constants enters as a chain: the constants are kept
+    sorted by value as ``(value, index)`` pairs, and only neighbours get a
+    strict edge.  The closure derives every other constant pair from the
+    chain, so the matrices are those of the all-pairs edges, for the price
+    of one sort and a bisection per constant :meth:`extended` adds.
     """
 
     def __init__(self, atoms: Sequence[OrderAtom]) -> None:
@@ -167,14 +178,14 @@ class _Closure:
         self._weak = [0] * n
         self._strict = [0] * n
         self._neq: set[tuple[int, int]] = set()
-        constants = [
-            (i, t.value) for i, t in enumerate(self.terms) if isinstance(t, Const)
-        ]
-        for ci, cv in constants:
-            for dj, dv in constants:
-                if cv < dv:
-                    self._strict[ci] |= 1 << dj
-                    self._weak[ci] |= 1 << dj
+        #: the constants' ``(value, index)`` pairs, sorted by value
+        self._constants = sorted(
+            [(t.value, i) for i, t in enumerate(self.terms) if isinstance(t, Const)],
+            key=_value_of,
+        )
+        for (_, i), (_, j) in zip(self._constants, self._constants[1:]):
+            self._strict[i] |= 1 << j
+            self._weak[i] |= 1 << j
         for atom in atoms:
             i = self._index[atom.left]
             j = self._index[atom.right]
@@ -261,30 +272,30 @@ class _Closure:
         clone._weak = list(self._weak)
         clone._strict = list(self._strict)
         clone._neq = set(self._neq)
+        clone._constants = list(self._constants)
         if not clone.satisfiable:
             # monotone: extending an inconsistent conjunction stays
             # inconsistent, no propagation needed
             return clone
-        new_terms: list[Term] = []
+        edges: list[tuple[int, int, bool]] = []
         for atom in atoms:
             for term in (atom.left, atom.right):
-                if term not in clone._index:
-                    clone._index[term] = len(clone.terms)
-                    clone.terms.append(term)
-                    clone._weak.append(0)
-                    clone._strict.append(0)
-                    new_terms.append(term)
-        edges: list[tuple[int, int, bool]] = []
-        for term in new_terms:
-            if isinstance(term, Const):
-                i = clone._index[term]
-                for other in clone.terms:
-                    if isinstance(other, Const) and other is not term:
-                        j = clone._index[other]
-                        if term.value < other.value:
-                            edges.append((i, j, True))
-                        elif other.value < term.value:
-                            edges.append((j, i, True))
+                if term in clone._index:
+                    continue
+                i = clone._index[term] = len(clone.terms)
+                clone.terms.append(term)
+                clone._weak.append(0)
+                clone._strict.append(0)
+                if isinstance(term, Const):
+                    # link the new constant to its neighbours in value
+                    # order; the chain implies every other constant pair
+                    constants = clone._constants
+                    at = bisect_left(constants, term.value, key=_value_of)
+                    if at:
+                        edges.append((constants[at - 1][1], i, True))
+                    if at < len(constants):
+                        edges.append((i, constants[at][1], True))
+                    constants.insert(at, (term.value, i))
         for atom in atoms:
             i = clone._index[atom.left]
             j = clone._index[atom.right]

@@ -7,7 +7,7 @@ hashable; a total :func:`term_sort_key` makes canonical forms deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence, Union
 
@@ -24,9 +24,27 @@ class Var:
 
 @dataclass(frozen=True, slots=True)
 class Const:
-    """A constant element of the constraint domain."""
+    """A constant element of the constraint domain.
+
+    Its hash is the dataclass's ``hash((value,))``, computed on first use
+    and kept: a ``Fraction`` hashes in Python code, and a closure or a
+    canonical key hashes the same constant many times.  The cache takes no
+    part in equality, ``repr`` or pickling (a string's hash differs between
+    processes), and an unhashable value raises only when hashed.
+    """
 
     value: Any
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.value,))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self) -> tuple[type, tuple[Any]]:
+        return (Const, (self.value,))
 
     def __str__(self) -> str:
         return str(self.value)
