@@ -1,8 +1,10 @@
 """Tests for the shared term layer of the pointwise theories."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.constraints.terms import (
     Const,
@@ -67,3 +69,37 @@ class TestEvalRename:
     def test_str(self):
         assert str(Var("x")) == "x"
         assert str(Const(Fraction(1, 2))) == "1/2"
+
+
+_VALUES = st.one_of(st.fractions(), st.integers(), st.text(max_size=8))
+
+
+class TestConstHash:
+    """``Const`` keeps its hash; the value stays the dataclass's."""
+
+    @given(_VALUES)
+    def test_hash_equality_repr_and_pickling_unchanged(self, value):
+        const = Const(value)
+        assert hash(const) == hash((value,))
+        assert hash(const) == hash((value,))  # served from the cache
+        assert const == Const(value) and hash(const) == hash(Const(value))
+        assert repr(const) == f"Const(value={value!r})"
+        # the cached hash is not pickled: a string's differs per process
+        assert pickle.dumps(const) == pickle.dumps(Const(value))
+        restored = pickle.loads(pickle.dumps(const))
+        assert restored == const and hash(restored) == hash(const)
+
+    def test_equal_values_of_other_types_stay_equal(self):
+        assert Const(Fraction(2)) == Const(2)
+        assert hash(Const(Fraction(2))) == hash(Const(2))
+        assert Const(1) != Const("1")
+
+    def test_unhashable_value_raises_only_when_hashed(self):
+        const = Const([1, 2])
+        assert const.value == [1, 2]
+        assert str(const) == "[1, 2]"
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(const)
+        with pytest.raises(TypeError):
+            {const}

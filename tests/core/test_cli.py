@@ -159,6 +159,10 @@ class TestPlanCommand:
         output = run([*self._SESSION, ".plan 2"])
         assert output.count("rule: T(") == 1
         assert "T(x, z)" in output
+        assert (
+            "leaf: pin-emit ('x', 'y') when every head variable is pinned, "
+            "else eliminate drop=('z',)"
+        ) in output
 
     def test_plan_uses_live_sizes_for_tie_breaks(self):
         # T is empty before .run, populated after: the rendered sizes line

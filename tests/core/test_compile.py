@@ -12,9 +12,14 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.conformance.generators import case_seed, generate_case
+from repro.conformance.oracles import compare_relations
 from repro.conformance.reference import reference_fixpoint
-from repro.constraints.dense_order import DenseOrderTheory
+from repro.conformance.spec import build_case
+from repro.conformance.strategies import strategies_for
+from repro.constraints.dense_order import DenseOrderTheory, eq, le, lt
 from repro.constraints.equality import EqualityTheory
+from repro.core.calculus import evaluate_calculus
 from repro.core.compile import PLAN_CACHE, PlanCache, render_plan
 from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats
 from repro.core.generalized import GeneralizedDatabase
@@ -144,7 +149,7 @@ class TestCompiledFiringStats:
         world, stats = _program(theory).evaluate(_chain_db(theory, 6))
         assert stats.compiled_firings > 0
         # a ground chain is all-points: every derived tuple takes the
-        # point-emit leaf, skipping quantifier elimination entirely
+        # pin-emit leaf, skipping quantifier elimination entirely
         assert stats.fastpath_leaves == stats.tuples_derived > 0
         assert len(world.relation("T")) == 6 * 7 // 2
 
@@ -152,6 +157,124 @@ class TestCompiledFiringStats:
         theory = EqualityTheory()
         _, stats = _program(theory).evaluate(_chain_db(theory, 5))
         assert stats.fastpath_leaves > 0
+
+
+class TestPinnedHeadLeaf:
+    """A match that pins every head variable emits the pins, in any theory.
+
+    The program gets its own theory instance, separate from the database's
+    (whose index keying eliminates), so the counted ``eliminate`` calls
+    are the leaf's alone.
+    """
+
+    FIG2 = "Ans(n1, n2) :- Rect(n1, x, y), Rect(n2, x, y), n1 != n2."
+    #: (x1, y1, x2, y2); the last one is a point
+    RECTANGLES = ((0, 0, 4, 4), (2, 1, 6, 5), (5, 4, 9, 8), (10, 10, 12, 12), (3, 3, 3, 3))
+    OVERLAPS = {(0, 1), (0, 4), (1, 2), (1, 4)}
+
+    @staticmethod
+    def _counting(theory, monkeypatch):
+        calls = []
+        eliminate = theory.eliminate
+
+        def counted(atoms, drop):
+            calls.append(tuple(drop))
+            return eliminate(atoms, drop)
+
+        monkeypatch.setattr(theory, "eliminate", counted)
+        return calls
+
+    def _rectangles(self):
+        db = GeneralizedDatabase(DenseOrderTheory())
+        rect = db.create_relation("Rect", ("n", "x", "y"))
+        for name, (x1, y1, x2, y2) in enumerate(self.RECTANGLES):
+            rect.add_tuple(
+                [eq("n", name), le(x1, "x"), le("x", x2), le(y1, "y"), le("y", y2)]
+            )
+        return db
+
+    @staticmethod
+    def _intervals(spans):
+        db = GeneralizedDatabase(DenseOrderTheory())
+        edge = db.create_relation("E", ("x", "y"))
+        for a, b in spans:
+            edge.add_tuple([le(a, "x"), lt("x", "y"), le("y", b)])
+        return db
+
+    @staticmethod
+    def _assert_reference(rules, db, world, name):
+        expected = reference_fixpoint(rules, DenseOrderTheory(), db)
+        assert set(world.relation(name).keys()) == set(expected.relation(name).keys())
+        assert (
+            compare_relations(
+                expected.relation(name), world.relation(name),
+                "reference", "engine", "dense_order",
+            )
+            is None
+        )
+
+    def test_fig2_answers_every_leaf_by_its_pins(self, monkeypatch):
+        theory = DenseOrderTheory()
+        calls = self._counting(theory, monkeypatch)
+        rules = parse_rules(self.FIG2, theory=theory)
+        db = self._rectangles()
+        world, stats = DatalogProgram(rules, theory).evaluate(db)
+        assert stats.fastpath_leaves == stats.tuples_derived > 0
+        assert calls == []
+        answers = {
+            tuple(int(atom.right.value) for atom in t.atoms)
+            for t in world.relation("Ans")
+        }
+        assert answers == self.OVERLAPS | {(b, a) for a, b in self.OVERLAPS}
+        self._assert_reference(rules, db, world, "Ans")
+
+    def test_bounded_but_unpinned_heads_still_eliminate(self, monkeypatch):
+        # Example 1.11's interval EDB: every E tuple bounds x and y
+        # without pinning either, so each leaf projects by elimination
+        theory = DenseOrderTheory()
+        calls = self._counting(theory, monkeypatch)
+        rules = parse_rules(TC_RULES, theory=theory)
+        db = self._intervals([(0, 3), (2, 6), (5, 9)])
+        world, stats = DatalogProgram(rules, theory).evaluate(db)
+        assert stats.fastpath_leaves == 0
+        assert len(calls) == stats.rule_firings > 0
+        self._assert_reference(rules, db, world, "T")
+
+    def test_a_head_pinned_in_part_still_eliminates(self, monkeypatch):
+        # every rectangle pins n, and only the point rectangle pins x
+        theory = DenseOrderTheory()
+        calls = self._counting(theory, monkeypatch)
+        rules = parse_rules("H(n, x) :- Rect(n, x, y).", theory=theory)
+        db = self._rectangles()
+        world, stats = DatalogProgram(rules, theory).evaluate(db)
+        assert (stats.fastpath_leaves, len(calls)) == (1, len(self.RECTANGLES) - 1)
+        self._assert_reference(rules, db, world, "H")
+
+    def test_zero_arity_head(self, monkeypatch):
+        theory = DenseOrderTheory()
+        calls = self._counting(theory, monkeypatch)
+        rules = parse_rules(
+            "Q() :- E(x, y).\nP() :- E(x, y), 9 < x.", theory=theory
+        )
+        db = self._intervals([(0, 3), (2, 6), (5, 9)])
+        world, stats = DatalogProgram(rules, theory).evaluate(db)
+        assert [t.atoms for t in world.relation("Q")] == [()]
+        assert len(world.relation("P")) == 0
+        assert stats.fastpath_leaves == stats.tuples_derived == 3
+        assert calls == []
+        for name in ("Q", "P"):
+            self._assert_reference(rules, db, world, name)
+
+    def test_real_poly_join_stores_one_spelling_of_a_point(self):
+        # S(x, y) or (S(x, y) and R(x)) with S = {(4, 3)} and two R
+        # intervals holding 4: the join's two matches used to eliminate
+        # into two further spellings of the point beside S's own
+        spec = generate_case("real_poly", case_seed(0, "real_poly", 19))
+        case = build_case(spec)
+        result = evaluate_calculus(case.query, case.database, output=case.output)
+        assert [tuple(map(str, t.atoms)) for t in result] == [("x - 4 = 0", "y - 3 = 0")]
+        expected = strategies_for(spec)[0].run(spec)
+        assert compare_relations(expected, result, "reference", "join", "real_poly") is None
 
 
 class TestPinPrefilter:
@@ -252,6 +375,19 @@ class TestRenderPlan:
         assert "step 0:" in text and "step 1:" in text
         assert "leaf:" in text
         assert "sizes: T=10, E=4" in text
+
+    def test_leaf_text_names_the_pin_emit_and_its_fallback(self):
+        theory = DenseOrderTheory()
+        program = _program(
+            theory, rules_text=TC_RULES + "U(x, y) :- E(x, y), not T(y, x).\n"
+        )
+        positive = render_plan(program, program.rules[1], None)
+        assert (
+            "leaf: pin-emit ('x', 'y') when every head variable is pinned, "
+            "else eliminate drop=('z',)"
+        ) in positive
+        negated = render_plan(program, program.rules[2], None)
+        assert "leaf: eliminate drop=()" in negated
 
     def test_planner_off_keeps_program_order(self):
         theory = DenseOrderTheory()

@@ -137,7 +137,18 @@ class TestFastPathEquivalence:
         )
 
 
-def _random_order_atoms(rng, variables, count, constants=4):
+#: twelve constants, negative and non-integer ones among them, so that a
+#: constant a closure gains often falls between two it already holds
+ORDER_CONSTANTS = tuple(
+    Fraction(n, d)
+    for n, d in (
+        (-7, 2), (-3, 1), (-1, 1), (-1, 3), (0, 1), (1, 4),
+        (1, 2), (1, 1), (5, 3), (2, 1), (3, 1), (9, 2),
+    )
+)
+
+
+def _random_order_atoms(rng, variables, count):
     atoms = []
     for _ in range(count):
         op = rng.choice(["<", "<=", "=", "!="])
@@ -147,7 +158,7 @@ def _random_order_atoms(rng, variables, count, constants=4):
             if right == left:
                 continue
         else:
-            right = Const(Fraction(rng.randrange(constants)))
+            right = Const(rng.choice(ORDER_CONSTANTS))
         atoms.append(OrderAtom(op, left, right))
     return atoms
 
@@ -186,6 +197,134 @@ class TestIncrementalClosure:
                     assert state.strictly_less(a, b) == scratch.strictly_less(
                         a, b
                     )
+
+
+def _reference_rows(atoms, terms):
+    """The order closure of ``atoms`` over ``terms``, by the textbook method.
+
+    Every pair of constants gets its strict edge, then Warshall's triple
+    loop and the disequality rule (``a <= b`` and ``a != b`` give ``a < b``)
+    run until nothing changes.  Shares no code with ``_Closure``.  Returns
+    the weak and strict rows as bitmasks over ``terms``' positions, the
+    disequal position pairs, and satisfiability.
+    """
+    n = len(terms)
+    at = {term: i for i, term in enumerate(terms)}
+    weak = [[False] * n for _ in range(n)]
+    strict = [[False] * n for _ in range(n)]
+    for i, a in enumerate(terms):
+        for j, b in enumerate(terms):
+            if isinstance(a, Const) and isinstance(b, Const) and a.value < b.value:
+                weak[i][j] = strict[i][j] = True
+    neq = set()
+    for atom in atoms:
+        i, j = at[atom.left], at[atom.right]
+        if atom.op == "!=":
+            neq.add((min(i, j), max(i, j)))
+            continue
+        weak[i][j] = True
+        if atom.op == "<":
+            strict[i][j] = True
+        elif atom.op == "=":
+            weak[j][i] = True
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if not (weak[i][k] and weak[k][j]):
+                        continue
+                    if not weak[i][j]:
+                        weak[i][j] = changed = True
+                    if (strict[i][k] or strict[k][j]) and not strict[i][j]:
+                        strict[i][j] = changed = True
+        for i, j in neq:
+            for a, b in ((i, j), (j, i)):
+                if weak[a][b] and not strict[a][b]:
+                    strict[a][b] = changed = True
+    satisfiable = not any(strict[i][i] for i in range(n)) and not any(
+        weak[i][j] and weak[j][i] for i, j in neq
+    )
+
+    def rows(matrix):
+        return [sum(1 << j for j in range(n) if row[j]) for row in matrix]
+
+    return rows(weak), rows(strict), neq, satisfiable
+
+
+_VARIABLES = ("v0", "v1", "v2", "v3")
+_TERMS = st.one_of(
+    st.sampled_from(_VARIABLES).map(Var), st.sampled_from(ORDER_CONSTANTS).map(Const)
+)
+_ORDER_ATOMS = st.builds(
+    OrderAtom, st.sampled_from(["<", "<=", "=", "!="]), _TERMS, _TERMS
+).filter(lambda atom: atom.left != atom.right)
+_CHUNKS = st.lists(st.lists(_ORDER_ATOMS, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+class TestClosureReference:
+    """``_Closure`` and its ``extended`` chain against an all-pairs closure.
+
+    The closure links only value-neighbouring constants, and ``extended``
+    bisects each new constant into that order.  Both must derive what
+    every constant pair as an edge derives.  An unsatisfiable closure is
+    compared by its verdict alone: ``extended`` stops propagating once a
+    conjunction is inconsistent, and nothing reads such a closure's rows.
+    """
+
+    @staticmethod
+    def _assert_matches(closure, atoms):
+        from repro.constraints.dense_order import _Closure
+
+        assert isinstance(closure, _Closure)
+        terms = {t for atom in atoms for t in (atom.left, atom.right)}
+        if not closure.satisfiable:
+            assert not _reference_rows(atoms, list(terms))[3]
+            return
+        assert set(closure.terms) == terms
+        assert len(closure.terms) == len(terms)
+        weak, strict, neq, satisfiable = _reference_rows(atoms, closure.terms)
+        assert satisfiable
+        assert closure._weak == weak
+        assert closure._strict == strict
+        assert closure._neq == neq
+        assert closure._constants == sorted(
+            (t.value, i) for i, t in enumerate(closure.terms) if isinstance(t, Const)
+        )
+
+    @settings(deadline=None)
+    @given(_CHUNKS)
+    def test_closure_and_extended_chain_match_all_pairs(self, chunks):
+        from repro.constraints.dense_order import _Closure
+
+        flat = [atom for chunk in chunks for atom in chunk]
+        self._assert_matches(_Closure(flat), flat)
+        closure = _Closure(chunks[0])
+        seen = list(chunks[0])
+        self._assert_matches(closure, seen)
+        for chunk in chunks[1:]:
+            closure = closure.extended(chunk)
+            seen.extend(chunk)
+            self._assert_matches(closure, seen)
+
+    def test_a_constant_between_two_others_is_linked_to_both(self):
+        # 1 < x < 3 holds 1 and 3; extending by x = 2 must place 2 between
+        # them, and x = 5/2 then conflicts with the pin through the chain
+        from repro.constraints.dense_order import _Closure
+
+        one, two, three = (Const(Fraction(v)) for v in (1, 2, 3))
+        x = Var("x")
+        base = [OrderAtom("<", one, x), OrderAtom("<", x, three)]
+        closure = _Closure(base).extended([OrderAtom("=", x, two)])
+        assert closure.satisfiable
+        assert closure.strictly_less(one, two) and closure.strictly_less(two, three)
+        assert closure.strictly_less(one, three)
+        self._assert_matches(closure, base + [OrderAtom("=", x, two)])
+        pinned_apart = closure.extended(
+            [OrderAtom("=", Var("y"), Const(Fraction(5, 2))), OrderAtom("<=", Var("y"), x)]
+        )
+        assert not pinned_apart.satisfiable
 
 
 class TestFourTheoryMatrix:
