@@ -11,11 +11,9 @@ Not paper tables, but measurements justifying the engineering decisions:
 
 
 from benchmarks.conftest import report
-from repro.conformance.reference import reference_fixpoint
 from repro.constraints.dense_order import DenseOrderTheory, le, lt
-from repro.core.datalog import DatalogProgram, EngineOptions
+from repro.core.datalog import DatalogProgram
 from repro.core.generalized import GeneralizedDatabase
-from repro.harness.benchjson import record_bench
 from repro.harness.measure import time_callable
 from repro.logic.parser import parse_rules
 from repro.poly.polynomial import poly_var
@@ -54,99 +52,6 @@ def test_semi_naive_vs_naive(benchmark):
         ],
     )
     assert semi_stats.rule_firings < naive_stats.rule_firings
-
-
-def test_fastpath_ablation(benchmark):
-    """The engine fast path (tentpole): all optimizations on vs off.
-
-    Uses the same transitive-closure workload as
-    ``bench_table13_datalog_dense`` at that benchmark's largest size and
-    requires the engine with every layer on to be at least 2x faster than
-    the flag-free reference evaluator (``reference_fixpoint``: no caches,
-    planner, indexes or compiled closures) while deriving the *identical*
-    fixpoint.  The engine with every flag off is recorded beside it, and
-    per-flag rows measure each layer's individual contribution; all land
-    in BENCH_datalog.json.
-    """
-    n = 16  # largest size of the dense-order scaling benchmark
-
-    def canonical(world):
-        return frozenset(frozenset(t.atoms) for t in world.relation("T"))
-
-    def run(options):
-        # fresh theory and database per configuration: no warm TheoryCache
-        # carries over between the measured configurations
-        theory = DenseOrderTheory()
-        db = chain_edges(n)
-        rules = parse_rules(TC_RULES, theory=theory)
-        program = DatalogProgram(rules, theory, options=options)
-        elapsed = time_callable(lambda: program.evaluate(db), repeats=2)
-        world, stats = program.evaluate(db)
-        return elapsed, stats, canonical(world)
-
-    theory = DenseOrderTheory()
-    db = chain_edges(n)
-    rules = parse_rules(TC_RULES, theory=theory)
-    off_time = time_callable(
-        lambda: reference_fixpoint(rules, theory, db), repeats=2
-    )
-    off_result = canonical(reference_fixpoint(rules, theory, db))
-    on_time, on_stats, on_result = run(EngineOptions.all_on())
-    all_off_time, off_stats, all_off_result = run(EngineOptions.all_off())
-    assert on_result == off_result, "fast path changed the derived relation"
-    assert all_off_result == on_result
-    assert on_stats.cache_hits > 0
-    speedup = off_time / on_time
-    assert speedup >= 2.0, f"fast path speedup {speedup:.2f}x < 2x"
-
-    # per-flag ablation: each optimization disabled in isolation
-    flag_rows = {}
-    for flag in EngineOptions.all_on().as_dict():
-        options = EngineOptions(**{flag: False})
-        flag_time, flag_stats, flag_result = run(options)
-        assert flag_result == on_result
-        flag_rows[flag] = {
-            "time_s": flag_time,
-            "slowdown_vs_all_on": flag_time / on_time,
-            "sat_checks": flag_stats.sat_checks,
-            "join_prunes": flag_stats.join_prunes,
-            "cache_hits": flag_stats.cache_hits,
-        }
-
-    path = record_bench(
-        "datalog_dense_ablation",
-        {
-            "workload": f"transitive closure over a chain, N={n}",
-            "all_on_time_s": on_time,
-            "all_off_time_s": all_off_time,
-            "reference_time_s": off_time,
-            "speedup": speedup,
-            "all_on_stats": on_stats.as_dict(),
-            "all_off_stats": off_stats.as_dict(),
-            "single_flag_off": flag_rows,
-        },
-    )
-    bench_db = chain_edges(n)
-    benchmark(
-        lambda: DatalogProgram(
-            parse_rules(TC_RULES, theory=order), order
-        ).evaluate(bench_db)
-    )
-    report(
-        "Ablation: constraint-engine fast path",
-        "memoized sat/canon + join caches keep the PTIME constant small",
-        [
-            f"chain N={n}: all-on {on_time*1000:.0f}ms vs reference "
-            f"{off_time*1000:.0f}ms ({speedup:.1f}x), all-off "
-            f"{all_off_time*1000:.0f}ms; identical fixpoints "
-            f"({len(on_result)} tuples)",
-            f"all-on: {on_stats.pin_prunes} pin prunes, "
-            f"{on_stats.cache_hits} cache hits, "
-            f"{on_stats.sat_checks} sat checks "
-            f"(all-off: {off_stats.sat_checks})",
-            f"per-flag rows written to {path}",
-        ],
-    )
 
 
 def test_fm_fast_path_vs_vs(benchmark):

@@ -95,7 +95,7 @@ HELP = """commands:
                           .budget deadline=0.05 rounds=100 fringe
                           (.budget off clears it; bare .budget shows it)
   .engine [FLAG=on|off]   show or toggle the engine flags for .run, e.g.
-                          .engine join_planner=off optimize_semantic=on
+                          .engine optimize_semantic=off magic=on
                           (.engine all_on / .engine all_off reset the lot;
                           also reports the rule-compiler plan-cache state)
   .plan RULE              pretty-print the lowered IR for a rule, by head

@@ -19,9 +19,8 @@ Registered adapters (per applicable kind/theory):
   (:func:`repro.conformance.reference.reference_fixpoint`), which shares no
   join code with the engine: the first Datalog route, so every engine route
   is compared against it;
-* ``datalog[...]`` -- the semi-naive engine under ``EngineOptions.all_on``,
-  ``all_off``, and each single-flag-off ablation (``join_planner`` and
-  ``optimize_semantic``), plus a naive-order run;
+* ``datalog[...]`` -- the semi-naive engine under ``EngineOptions.all_on``
+  and ``all_off``, plus a naive-order run;
 * ``boole_lemma`` -- the Section 5.2 boolean Datalog engine (Theorem 5.6),
   for positive boolean programs;
 * ``qe:calculus`` / ``qe:fourier_motzkin`` / ``qe:virtual_substitution`` --
@@ -30,7 +29,7 @@ Registered adapters (per applicable kind/theory):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.boolean_algebra.datalog_bool import (
@@ -88,18 +87,15 @@ class Strategy:
     options: EngineOptions | None = None
 
 
-#: the EngineOptions ablation grid: everything on, everything off, and each
-#: single flag off, every entry a distinct configuration -- each one must be
-#: exercised by at least one strategy pair.  ``no_optimize_semantic`` is the
-#: semantic optimizer's differential oracle: any fixpoint difference against
-#: ``all_on`` means a containment rewrite changed program semantics
+#: the EngineOptions ablation grid, one entry per distinct configuration --
+#: each one must be exercised by at least one strategy pair.  With one flag,
+#: ``optimize_semantic``, everything off is its single-flag-off entry:
+#: ``all_off`` is the semantic optimizer's differential oracle, and any
+#: fixpoint difference against ``all_on`` means a containment rewrite
+#: changed program semantics
 ABLATION_GRID: tuple[tuple[str, EngineOptions], ...] = (
     ("all_on", EngineOptions.all_on()),
     ("all_off", EngineOptions.all_off()),
-    *(
-        (f"no_{flag}", replace(EngineOptions.all_on(), **{flag: False}))
-        for flag in EngineOptions.all_on().as_dict()
-    ),
 )
 
 

@@ -24,8 +24,7 @@ per content version.  The decisions are:
 
 * the join order: the semi-naive delta slot first, then the greedy
   selectivity planner's order over the other atoms (see
-  :func:`plan_order`), re-run per rule and round -- or program order when
-  the evaluation's ``join_planner`` flag is off;
+  :func:`plan_order`), re-run per rule and round;
 * the access path per step, decided by the step alone: a probe of the
   relation's own generalized 1-d index (:meth:`GeneralizedRelation.index`)
   when the step is not the delta slot and the theory is dense order, else
@@ -106,7 +105,7 @@ EntryRecord = tuple[tuple[Atom, ...], dict[str, Any], int]
 def plan_order(
     arg_lists: Sequence[Sequence[str]],
     sizes: Sequence[int],
-    pinned: set[str],
+    pinned: Iterable[str],
     first: int | None = None,
 ) -> list[int]:
     """The greedy selectivity order over a rule's positive atoms.
@@ -116,9 +115,9 @@ def plan_order(
     the index probes exploit), so pick by descending connectivity, breaking
     ties toward the smaller source and then the original position
     (determinism).  ``pinned`` seeds the bound set with the constants the
-    rule's constraint atoms force.  :meth:`CompiledRule.fire` re-plans per
-    (rule, round), so the order tracks the changing delta/relation
-    cardinalities as the fixpoint grows.
+    rule's constraint atoms force.  :meth:`CompiledRule.join_order`
+    re-plans per (rule, round), so the order tracks the changing
+    delta/relation cardinalities as the fixpoint grows.
 
     ``first`` -- the semi-naive delta slot -- leads when given.  A delta
     is a plain list that no step probes, so placed after another atom it
@@ -354,6 +353,8 @@ class CompiledRule:
         self.root_kind = _classify(
             self.constraints, self.root_pin_map, self.pointwise
         )
+        self._arg_lists = [atom.args for atom in self.positives]
+        self._pinned = frozenset(self.root_pin_map)
         self._variants: dict[tuple[int | None, tuple[int, ...]], Any] = {}
         self._lock = threading.Lock()
         #: memoized root solver context (a pure function of the rule)
@@ -398,6 +399,19 @@ class CompiledRule:
         return records
 
     # ---------------------------------------------------------------- firing
+    def join_order(
+        self, sizes: Sequence[int], delta_slot: int | None = None
+    ) -> tuple[int, ...]:
+        """The positive atoms' join order for one firing, by :func:`plan_order`.
+
+        ``sizes`` are the atoms' source sizes (the delta's at the delta
+        slot).  :meth:`fire` and :func:`render_plan` both order through
+        here, so a printed plan is the order that fires.
+        """
+        if len(self._arg_lists) < 2:
+            return tuple(range(len(self._arg_lists)))
+        return tuple(plan_order(self._arg_lists, sizes, self._pinned, delta_slot))
+
     def fire(
         self,
         world: "GeneralizedDatabase",
@@ -419,17 +433,13 @@ class CompiledRule:
             else:
                 relations.append(relation)
                 sizes.append(len(relation))
-        n = len(positives)
         delta_slot = delta_position if delta is not None else None
-        if caches.join_planner and n > 1:
+        order = self.join_order(sizes, delta_slot)
+        if len(order) > 1:
             stats.plans_built += 1
-            arg_lists = [a.args for a in positives]
-            order = plan_order(arg_lists, sizes, set(self.root_pin_map), delta_slot)
-            if order != sorted(order):
+            if order != tuple(sorted(order)):
                 stats.plan_reorders += 1
-        else:
-            order = list(range(n))
-        variant = self._variant(delta_slot, tuple(order), stats)
+        variant = self._variant(delta_slot, order, stats)
         negated_dnfs = [
             _complement_dnf(atom, world.relation(atom.name), caches, stats, self.theory)
             for atom in self.negated
@@ -806,9 +816,8 @@ class PlanCache:
       so a different instance must never share closures; every cached
       entry holds a strong reference to its theory, keeping the id valid.
 
-    No option is part of the key: no compiled closure reads an
-    ``EngineOptions`` field (:meth:`CompiledRule.fire` takes the planner
-    flag from the evaluation), so a program under ``all_on()`` and under
+    No option is part of the key: no compiled closure or firing reads an
+    ``EngineOptions`` field, so a program under ``all_on()`` and under
     ``all_off()`` shares one entry.
 
     Adorned programs built by the magic-set query path fingerprint like
@@ -877,29 +886,21 @@ PLAN_CACHE = PlanCache()
 def render_plan(
     program: Any, rule: Any, world: "GeneralizedDatabase" | None = None
 ) -> str:
-    """Pretty-print the lowered IR for ``rule`` under ``program``'s planner flag.
+    """Pretty-print the lowered IR for ``rule`` in :meth:`CompiledRule.join_order`.
 
     Uses the live database's relation sizes when given (the planner's
     deterministic tie-break order depends on them); unknown relations count
     as empty, matching a first evaluation round.
     """
     compiled = CompiledRule(rule, program.theory)
-    positives = tuple(rule.positive_atoms)
+    positives = compiled.positives
     sizes = []
     for atom in positives:
         if world is not None and atom.name in world:
             sizes.append(len(world.relation(atom.name)))
         else:
             sizes.append(0)
-    if program.options.join_planner and len(positives) > 1:
-        order = tuple(
-            plan_order(
-                [a.args for a in positives], sizes, set(compiled.root_pin_map)
-            )
-        )
-    else:
-        order = tuple(range(len(positives)))
-    _variant, ir = compiled._lower(None, order)
+    _variant, ir = compiled._lower(None, compiled.join_order(sizes))
     lines = [ir.render()]
     lines.append(
         "sizes: "

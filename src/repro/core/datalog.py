@@ -123,16 +123,12 @@ class EngineOptions:
     """How a program is planned, rewritten, checked and metered.
 
     The fast-path layers of the rule join -- the theory cache, the rename
-    cache, the incremental join and the index probes -- are always on; no
-    option reaches the compiled closures.  The two ablation flags are
-    ``join_planner`` (read per firing) and ``optimize_semantic`` (read at
-    construction); ``all_off()`` switches both off.
+    cache, the incremental join, the index probes and the join planner --
+    are always on; no option reaches a firing.  The one ablation flag is
+    ``optimize_semantic`` (read at construction); ``all_off()`` switches it
+    off.
     """
 
-    #: reorder each rule's positive atoms by estimated selectivity before
-    #: the depth-first join, re-planned every round (delta/relation sizes
-    #: change between rounds, so the best order does too)
-    join_planner: bool = True
     #: run the containment-based semantic optimizer
     #: (:mod:`repro.analysis.semantic`) at program construction: subsumed
     #: rules, redundant literals and unsatisfiable rules are removed and
@@ -163,13 +159,10 @@ class EngineOptions:
 
     @classmethod
     def all_off(cls) -> "EngineOptions":
-        return cls(join_planner=False, optimize_semantic=False)
+        return cls(optimize_semantic=False)
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "join_planner": self.join_planner,
-            "optimize_semantic": self.optimize_semantic,
-        }
+        return {"optimize_semantic": self.optimize_semantic}
 
 
 @dataclass
@@ -363,9 +356,8 @@ class _EvalCaches:
     :class:`repro.core.compile.CompiledProgram` the process-wide PlanCache
     serves at construction (the entry's rules follow the program's rule
     order, so no lookup by rule text is needed); ``program_rules`` keeps
-    those rule objects, hence the ids, alive.  ``join_planner`` is the
-    program's planner flag, the one option a firing reads: the compiled
-    closures read none, so one cache entry serves every option setting.
+    those rule objects, hence the ids, alive.  No option reaches a firing,
+    so one cache entry serves every option setting.
 
     ``complement`` maps (relation name, args, content version) to the
     complement DNF, so unchanged relations are never recomplemented.
@@ -382,7 +374,6 @@ class _EvalCaches:
     __slots__ = (
         "rules",
         "program_rules",
-        "join_planner",
         "complement",
         "centries",
         "cscan",
@@ -390,7 +381,6 @@ class _EvalCaches:
     )
 
     def __init__(self, program: "DatalogProgram", stats: EvaluationStats) -> None:
-        self.join_planner = program.options.join_planner
         self.complement: dict = {}
         self.centries: dict = {}
         self.cscan: dict = {}

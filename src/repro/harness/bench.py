@@ -1,8 +1,9 @@
 """Engine benchmark suite: ``python -m repro bench``.
 
-Runs a fixed set of fixpoint workloads under the engine's ablation columns
-and records stable, comparable records into ``BENCH_datalog.json`` (via
-:mod:`repro.harness.benchjson`; redirect with ``REPRO_BENCH_JSON``):
+Runs a fixed set of fixpoint workloads through the engine and the
+reference evaluator and records stable, comparable records into
+``BENCH_datalog.json`` (via :mod:`repro.harness.benchjson`; redirect with
+``REPRO_BENCH_JSON``):
 
 * **dense-order transitive closure** over point chains at N in {16, 32, 64}
   (the Thm 3.14.2 cell) -- the headline fast-path workload;
@@ -12,15 +13,13 @@ and records stable, comparable records into ``BENCH_datalog.json`` (via
   graph, where every firing eliminates the chained variable by Boole's
   lemma (Section 5).
 
-Every engine workload runs once per ablation column (all flags on, and the
-join planner off), asserts that *all columns produce the identical
-fixpoint*, and records per-column wall-clock plus the relevant engine
-counters.  (``all_off`` would time the same path as ``no_join_planner``:
-its other flag, the semantic optimizer, runs at program construction,
-outside the timed call.)  A ``reference`` column times
-the flag-free reference evaluator
-(:func:`repro.conformance.reference.reference_fixpoint`) on the same input
-and must land on the same fixpoint.  A separate ``compile_stats`` record
+Every engine workload records two columns: ``all_on`` times the engine
+with its default options and records the relevant engine counters, and
+``reference`` times the flag-free reference evaluator
+(:func:`repro.conformance.reference.reference_fixpoint`) on the same input;
+both must land on the *identical fixpoint*.  (An ``all_off`` column would
+time the same path: its one flag, the semantic optimizer, runs at program
+construction, outside the timed call.)  A separate ``compile_stats`` record
 microbenches the PlanCache: cold ``evaluate()``
 setup (cleared cache: fetch + lowering) vs. warm (cache hit), the
 prepared-query pattern the planned server relies on.  A ``semantic_stats``
@@ -68,14 +67,8 @@ T(x, y) :- E(x, y).
 T(x, y) :- T(x, z), E(z, y).
 """
 
-#: ablation columns recorded per workload: every flag on, and the one
-#: flag a timed evaluation reads off
-COLUMNS: tuple[tuple[str, EngineOptions], ...] = (
-    ("all_on", EngineOptions.all_on()),
-    ("no_join_planner", EngineOptions(join_planner=False)),
-)
-
-#: engine counters worth tracking per column (subset of EvaluationStats)
+#: engine counters worth tracking in the all_on column (subset of
+#: EvaluationStats)
 _TRACKED = (
     "iterations",
     "join_steps",
@@ -104,8 +97,8 @@ def _run_columns(
     target: str = "T",
     repeat: int = 1,
 ) -> dict[str, Any]:
-    """One workload across all ablation columns and the reference;
-    asserts identical fixpoints."""
+    """One workload through the engine and the reference; asserts identical
+    fixpoints."""
     rules = parse_rules(TC_RULES, theory=theory)
 
     def best_of(run: Callable[[GeneralizedDatabase], Any]) -> tuple[float, Any]:
@@ -117,30 +110,24 @@ def _run_columns(
             best = min(best, time.perf_counter() - started)
         return best, result
 
-    columns: dict[str, Any] = {}
-    fingerprints = set()
-    for column, options in COLUMNS:
-        program = DatalogProgram(rules, theory, options=options)
-        best, (world, stats) = best_of(program.evaluate)
-        fingerprints.add(_fingerprint(world, target))
-        columns[column] = {
-            "time_s": round(best, 6),
-            **{name: getattr(stats, name) for name in _TRACKED},
-        }
-    best, world = best_of(lambda db: reference_fixpoint(rules, theory, db))
-    fingerprints.add(_fingerprint(world, target))
-    columns["reference"] = {"time_s": round(best, 6)}
-    identical = len(fingerprints) == 1
-    if not identical:
-        raise BenchError(
-            f"ablation columns disagree on the fixpoint "
-            f"({len(fingerprints)} distinct answers)"
-        )
-    speedup = columns["reference"]["time_s"] / max(columns["all_on"]["time_s"], 1e-9)
+    program = DatalogProgram(rules, theory, options=EngineOptions.all_on())
+    engine_s, (world, stats) = best_of(program.evaluate)
+    reference_s, expected = best_of(
+        lambda db: reference_fixpoint(rules, theory, db)
+    )
+    if _fingerprint(world, target) != _fingerprint(expected, target):
+        raise BenchError("the engine and the reference disagree on the fixpoint")
+    engine_s, reference_s = round(engine_s, 6), round(reference_s, 6)
     return {
-        "columns": columns,
-        "identical_fixpoints": identical,
-        "speedup_all_on": round(speedup, 3),
+        "columns": {
+            "all_on": {
+                "time_s": engine_s,
+                **{name: getattr(stats, name) for name in _TRACKED},
+            },
+            "reference": {"time_s": reference_s},
+        },
+        "identical_fixpoints": True,
+        "speedup_all_on": round(reference_s / max(engine_s, 1e-9), 3),
     }
 
 

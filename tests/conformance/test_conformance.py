@@ -46,15 +46,14 @@ def test_every_ablation_config_is_exercised():
 
 def test_ablation_grid_shape():
     labels = [label for label, _ in ABLATION_GRID]
-    assert labels[:2] == ["all_on", "all_off"]
-    # all_on + all_off + one per as_dict flag
-    flags = len(ABLATION_GRID[0][1].as_dict())
-    assert flags == 2
-    assert len(labels) == flags + 2 == 4
+    # one flag, so its single-flag-off entry is all_off: the grid's one
+    # entry per distinct configuration leaves all_on and all_off
+    assert list(ABLATION_GRID[0][1].as_dict()) == ["optimize_semantic"]
+    assert labels == ["all_on", "all_off"]
     # every grid entry is a distinct configuration, under a distinct label
     distinct = {frozenset(o.as_dict().items()) for _, o in ABLATION_GRID}
     assert len(distinct) == len(set(labels)) == len(labels)
-    assert "no_optimize_semantic" in labels
+    assert dict(ABLATION_GRID)["all_off"].optimize_semantic is False
 
 
 @pytest.mark.parametrize(
@@ -90,11 +89,11 @@ def test_datalog_registry_contains_all_ablations_and_naive():
         assert "datalog[all_on]" in names
         assert "datalog[all_off]" in names
         assert "datalog[naive]" in names
-        # one no_* entry per as_dict flag
-        flags = len(ABLATION_GRID[0][1].as_dict())
-        assert sum(1 for n in names if n.startswith("datalog[no_")) == flags
-        assert "datalog[no_join_planner]" in names
-        assert "datalog[no_optimize_semantic]" in names
+        # one route per grid entry, and no single-flag-off route beside
+        # all_off
+        grid = {f"datalog[{label}]" for label, _ in ABLATION_GRID}
+        assert grid <= names
+        assert not any(n.startswith("datalog[no_") for n in names)
         return
     pytest.fail("no datalog case generated in 200 seeds")
 

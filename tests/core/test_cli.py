@@ -84,11 +84,12 @@ class TestShell:
 class TestEngineCommand:
     def test_show_defaults(self):
         output = run([".engine"])
-        assert "engine: join_planner=on, optimize_semantic=on" in output
+        assert "engine: optimize_semantic=on\n" in output
+        assert "query path: magic on" in output
 
     def test_toggle_and_run(self):
         output = run([
-            ".engine join_planner=off optimize_semantic=off",
+            ".engine optimize_semantic=off magic=off",
             ".engine",
             ".relation E(x, y)",
             ".point E: 0, 1",
@@ -97,14 +98,14 @@ class TestEngineCommand:
             ".rule T(x, y) :- T(x, z), E(z, y).",
             ".run",
         ])
-        assert "join_planner=off" in output
         assert "optimize_semantic=off" in output
+        assert "query path: magic off" in output
         assert "fixpoint in" in output
 
     def test_all_off_and_all_on(self):
         output = run([".engine all_off", ".engine all_on"])
-        assert "join_planner=off, optimize_semantic=off" in output
-        assert output.count("join_planner=on") == 1
+        assert "engine: optimize_semantic=off\n" in output
+        assert output.count("optimize_semantic=on") == 1
 
     def test_bad_flag_reports_usage(self):
         output = run([".engine warp_drive=on"])
@@ -115,10 +116,10 @@ class TestEngineCommand:
         # to an unknown one changes nothing
         out = io.StringIO()
         shell = Shell(out=out)
-        shell.handle(".engine join_planner=off bogus=on")
+        shell.handle(".engine magic=off bogus=on")
         shell.handle(".engine optimize_semantic=off parallel=off")
         assert out.getvalue().count("usage: .engine") == 2
-        assert shell.engine.join_planner is True
+        assert shell.engine.magic is True
         assert shell.engine.optimize_semantic is True
 
     def test_reports_plan_cache_state(self):
@@ -133,7 +134,7 @@ class TestEngineCommand:
             ".run",
             ".engine",
         ])
-        assert "join_planner=on" in output
+        assert "optimize_semantic=on" in output
         # first .run misses, second hits the prepared-query cache
         assert "plan cache: 1 compiled program(s), 1 hits, 1 misses\n" in output
 

@@ -8,7 +8,7 @@ on -- plus the lowered-IR pretty printer and ``EvaluationStats.merge``.
 
 import gc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
@@ -388,13 +388,6 @@ class TestRenderPlan:
         ) in positive
         negated = render_plan(program, program.rules[2], None)
         assert "leaf: eliminate drop=()" in negated
-
-    def test_planner_off_keeps_program_order(self):
-        theory = DenseOrderTheory()
-        options = replace(EngineOptions.all_on(), join_planner=False)
-        program = _program(theory, options)
-        text = render_plan(program, program.rules[1], None)
-        assert "order: [0, 1]" in text
 
     def test_planner_reorders_on_live_sizes(self):
         # E is tiny, T huge after closure over a denser graph: the greedy

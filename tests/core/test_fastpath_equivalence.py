@@ -331,18 +331,13 @@ class TestFourTheoryMatrix:
     """Planner + index probes + rule compiler across all four theories.
 
     Drives conformance-generated datalog cases (dense order, equality,
-    boolean, real polynomial) through the engine under every interesting
-    flag combination -- all on, all off, and the planner alone off --
-    under both fixpoint orders and all semantics.
+    boolean, real polynomial) through the engine under both flag settings
+    -- all on and all off -- under both fixpoint orders and all semantics.
     The configurations must agree on canonical fixpoints, and those must
     equal :func:`repro.conformance.reference.reference_fixpoint`'s.
     """
 
-    CONFIGS = (
-        EngineOptions.all_on(),
-        EngineOptions.all_off(),
-        EngineOptions(join_planner=False),
-    )
+    CONFIGS = (EngineOptions.all_on(), EngineOptions.all_off())
 
     @staticmethod
     def _datalog_spec(theory_name, seed):
