@@ -96,13 +96,14 @@ class DependencyGraph:
     def is_stratifiable(self) -> bool:
         return not self.recursive_negative_edges()
 
-    def reachable_from(self, start: str) -> frozenset[str]:
-        """Predicates reachable from ``start`` along dependency edges."""
+    def reachable_from(self, *starts: str) -> frozenset[str]:
+        """Predicates reachable from any of ``starts`` along dependency
+        edges, the starts included."""
         adjacency: dict[str, set[str]] = {}
         for a, b in self.edges:
             adjacency.setdefault(a, set()).add(b)
-        seen = {start}
-        stack = [start]
+        seen = set(starts)
+        stack = list(starts)
         while stack:
             node = stack.pop()
             for successor in adjacency.get(node, ()):

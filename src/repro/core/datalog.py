@@ -9,6 +9,10 @@ database atom (Datalog-not only), or a constraint atom of the active theory
   for positive programs -- rule firing joins the body tuples' constraint
   conjunctions, checks satisfiability, eliminates body-only variables
   (closed form!), canonicalizes, and adds the head tuple;
+* **stratified semantics** for Datalog-not programs without negation
+  through recursion: one stratum per strongly connected component of the
+  predicate dependency graph (:meth:`DatalogProgram.stratify`), each run
+  to its least fixpoint in the same semi-naive rounds, callees first;
 * **inflationary semantics** for Datalog-not (facts derived in an iteration
   are added to those of previous iterations; negated atoms are evaluated
   against the current relation by complementation), per [1, 22, 33] as the
@@ -508,11 +512,16 @@ class DatalogProgram:
 
         * ``"auto"`` (default): positive programs run semi-naive; programs
           with negation run *stratified* if stratifiable, else inflationary;
-        * ``"stratified"``: stratum-by-stratum least fixpoints (negation only
-          against fully-computed lower strata); raises if not stratifiable;
+        * ``"stratified"``: the least fixpoint of each :meth:`stratify`
+          stratum in turn (negation only against fully-computed lower
+          strata); raises if not stratifiable;
         * ``"inflationary"``: the paper's inflationary semantics [1, 22, 33]
           -- every round evaluates all rules against the current state and
           adds the derived facts, never retracting.
+
+        ``semi_naive`` picks the rounds of a least fixpoint: semi-naive
+        (default) or naive.  Inflationary evaluation always runs naive
+        rounds.
 
         **Resource governance.**  When ``options.budget`` is set (or an
         ambient budget was installed via
@@ -530,8 +539,9 @@ class DatalogProgram:
           and a *partially applied* round ``S`` with ``J_i subseteq S
           subseteq J_{i+1}`` still sits below the final fixpoint;
         * stratified evaluation runs negation only against *completed*
-          lower strata, so an interrupt mid-stratum leaves every derived
-          tuple justified by the stratified semantics.
+          lower strata, and a stratum's rounds, naive or semi-naive, are
+          stages of its least fixpoint, so an interrupt mid-stratum leaves
+          every derived tuple justified by the stratified semantics.
 
         The fringe can therefore be used as a partial answer (e.g. "these
         pairs are certainly connected") but never as a completeness claim.
@@ -567,57 +577,36 @@ class DatalogProgram:
         semantics: str,
     ) -> tuple[GeneralizedDatabase, EvaluationStats]:
         if not self.has_negation():
-            return self._evaluate_strata(
-                database, [self.rules], max_iterations, semi_naive
-            )
-        strata = None if semantics == "inflationary" else self.stratify()
-        if strata is None:
-            if semantics == "stratified":
-                raise EvaluationError(
-                    "program is not stratifiable (negation through recursion)"
-                )
-            strata = [self.rules]  # inflationary: one stratum of every rule
-        return self._evaluate_strata(database, strata, max_iterations, False)
+            strata = [self.rules]
+        else:
+            strata = None if semantics == "inflationary" else self.stratify()
+            if strata is None:
+                if semantics == "stratified":
+                    raise EvaluationError(
+                        "program is not stratifiable (negation through recursion)"
+                    )
+                # inflationary: one stratum of every rule, in naive rounds
+                strata, semi_naive = [self.rules], False
+        return self._evaluate_strata(database, strata, max_iterations, semi_naive)
 
     def stratify(self) -> list[list[Rule]] | None:
-        """Partition rules into strata, or None if not stratifiable.
+        """The strata of stratified evaluation, or None if not stratifiable.
 
-        A program is stratifiable when no predicate depends negatively on
-        itself through recursion: build the dependency graph with edge
-        labels, reject negative edges inside a strongly connected component,
-        and order components topologically.
+        One stratum per strongly connected component of the IDB predicates
+        in the dependency graph (:func:`build_dependency_graph`), callees
+        first, each holding its predicates' rules in program order.  A
+        program is stratifiable when no negative edge lies inside a
+        component, that is, no predicate depends negatively on itself
+        through recursion; then every negated IDB predicate lies in a
+        strictly earlier stratum than the rule that negates it.
         """
-        idbs = self.idb_predicates()
-        positive_edges: set[tuple[str, str]] = set()
-        negative_edges: set[tuple[str, str]] = set()
+        graph = build_dependency_graph(self.rules)
+        if not graph.is_stratifiable():
+            return None
+        by_component: dict[tuple[str, ...], list[Rule]] = {}
         for rule in self.rules:
-            for atom in rule.positive_atoms:
-                if atom.name in idbs:
-                    positive_edges.add((rule.head.name, atom.name))
-            for atom in rule.negative_atoms:
-                if atom.name in idbs:
-                    negative_edges.add((rule.head.name, atom.name))
-        # stratum numbers by iteration to a fixpoint (Ullman's algorithm)
-        stratum = {name: 0 for name in idbs}
-        changed = True
-        while changed:
-            changed = False
-            for head, body in positive_edges:
-                if stratum[head] < stratum[body]:
-                    stratum[head] = stratum[body]
-                    changed = True
-            for head, body in negative_edges:
-                if stratum[head] < stratum[body] + 1:
-                    stratum[head] = stratum[body] + 1
-                    changed = True
-            # in a stratifiable program no stratum exceeds the predicate
-            # count; a negative cycle pushes values past that bound
-            if any(level > len(idbs) for level in stratum.values()):
-                return None
-        buckets: dict[int, list[Rule]] = {}
-        for rule in self.rules:
-            buckets.setdefault(stratum[rule.head.name], []).append(rule)
-        return [buckets[level] for level in sorted(buckets)]
+            by_component.setdefault(graph.scc_of(rule.head.name), []).append(rule)
+        return [by_component[scc] for scc in graph.sccs if scc in by_component]
 
     def _evaluate_strata(
         self,
@@ -629,11 +618,13 @@ class DatalogProgram:
         """Bring each stratum to its fixpoint in turn, bottom-up.
 
         A stratum's first round fires every rule against the whole world.
-        Naive rounds repeat that until a round adds nothing; semi-naive
-        rounds continue from what it admitted (:meth:`_semi_naive_rounds`).
-        Positive programs are one stratum of every rule, and so are
-        inflationary ones; stratified evaluation runs naive rounds per
-        stratum, so negation only reads completed lower strata.
+        Semi-naive rounds continue from what it admitted
+        (:meth:`_semi_naive_rounds`); naive rounds repeat the first until a
+        round adds nothing.  Positive programs are one stratum of every
+        rule, and so are inflationary ones, which run naive rounds.  A
+        stratum of :meth:`stratify` negates only predicates of earlier
+        strata, which are complete when it runs, so either kind of round
+        reads a fixed complement.
         """
         world = self._prepare(database)
         stats = EvaluationStats()

@@ -29,8 +29,13 @@ the change rather than the database:
   has no useful relationship to the relation's delta) and for rule bodies
   too wide for the expansion (> ``_EXPANSION_CAP`` positive atoms);
 * **full recomputation** for inflationary/non-stratifiable programs, whose
-  semantics is not monotone in the EDB -- the view keeps its API but each
-  batch re-evaluates (and says so in ``ivm_recomputed_strata``).
+  semantics is not monotone in the EDB -- the view keeps its API, but its
+  one stratum holds every rule and each batch recomputes it (and says so
+  in ``ivm_recomputed_strata``).
+
+The strata are those of :meth:`repro.core.datalog.DatalogProgram.stratify`,
+one per SCC of the IDB dependency graph, in the order from-scratch
+evaluation runs them.
 
 Everything fires through :meth:`repro.core.datalog.DatalogProgram.
 _execute_round` -- the same planner, join indexes, budget ticks and
@@ -64,7 +69,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, cast
 
-from repro.analysis.graph import strongly_connected_components
 from repro.constraints.base import ConstraintTheory
 from repro.core.datalog import (
     DatalogProgram,
@@ -105,7 +109,7 @@ DeltaItem = tuple[str, "GeneralizedTuple | Iterable[Atom]"]
 
 @dataclass
 class _Stratum:
-    """One SCC of the IDB dependency graph, in dependencies-first order."""
+    """One stratum of the view's program, in dependencies-first order."""
 
     preds: frozenset[str]
     rules: list[Rule]
@@ -225,9 +229,9 @@ class _PreChangeIndex:
 class MaterializedView:
     """A program's derived relations, maintained live under EDB deltas.
 
-    ``semantics``/``semi_naive`` mirror :meth:`DatalogProgram.evaluate` and
-    select the from-scratch semantics the view stays equal to.  For positive
-    and stratifiable programs maintenance is incremental (counting + DRed);
+    ``semantics`` mirrors :meth:`DatalogProgram.evaluate` and selects the
+    from-scratch semantics the view stays equal to.  For positive and
+    stratifiable programs maintenance is incremental (counting + DRed);
     inflationary/non-stratifiable programs fall back to per-batch
     recomputation behind the same API.
 
@@ -245,13 +249,11 @@ class MaterializedView:
         database: GeneralizedDatabase,
         *,
         semantics: str = "auto",
-        semi_naive: bool = True,
         max_iterations: int = 100_000,
     ) -> None:
         self.program = program
         self.theory: ConstraintTheory = program.theory
         self.semantics = semantics
-        self.semi_naive = semi_naive
         self.max_iterations = max_iterations
         self.stale = False
         self.stale_reason: str | None = None
@@ -284,10 +286,8 @@ class MaterializedView:
             budget=None,
             optimize_semantic=False,
         )
-        self._mode = self._resolve_mode()
-        self._strata: list[_Stratum] = (
-            self._compute_strata() if self._mode == "incremental" else []
-        )
+        self._mode: str
+        self._strata = self._compute_strata()
         self._sub_programs: dict[int, DatalogProgram] = {}
         #: the expansion programs' world: the ``X__ivm_m`` views and the
         #: ``X__ivm_d`` delta relations, bound by ``_init_runtime``
@@ -313,19 +313,6 @@ class MaterializedView:
         self._caches = None
         for stratum in self._strata:
             stratum.caches = None
-
-    def _resolve_mode(self) -> str:
-        if not self.program.has_negation():
-            return "incremental"
-        if self.semantics == "inflationary":
-            return "recompute"
-        if self.program.stratify() is None:
-            if self.semantics == "stratified":
-                raise EvaluationError(
-                    "program is not stratifiable (negation through recursion)"
-                )
-            return "recompute"
-        return "incremental"
 
     def _mark_stale(self, reason: str) -> None:
         self.stale = True
@@ -478,10 +465,7 @@ class MaterializedView:
     def _materialize(self, database: GeneralizedDatabase) -> EvaluationStats:
         self.close()
         world, stats = self.program.evaluate(
-            database,
-            max_iterations=self.max_iterations,
-            semi_naive=self.semi_naive,
-            semantics=self.semantics,
+            database, max_iterations=self.max_iterations, semantics=self.semantics
         )
         self.world = world
         self._finish(stats)
@@ -648,9 +632,6 @@ class MaterializedView:
         stats.ivm_retracts += sum(len(v) for v in dels.values())
         stats.ivm_inserts += sum(len(v) for v in adds.values())
         if not dels and not adds:
-            return
-        if self._mode == "recompute":
-            self._recompute_all(stats)
             return
         for index, stratum in enumerate(self._strata):
             if not any(
@@ -967,10 +948,13 @@ class MaterializedView:
         """Re-evaluate one stratum against its (fully maintained) inputs.
 
         Negation makes deltas useless (the complement of a changed relation
-        is not a function of the change), so the stratum recomputes; lower
-        strata are final by the time it runs, which is exactly the
-        stratified semantics' contract.  Deltas for the strata above come
-        from diffing the old and new canonical key sets.
+        is not a function of the change), so the stratum recomputes, under
+        the view's ``semantics``; lower strata are final by the time it
+        runs, which is exactly the stratified semantics' contract.  A
+        recompute-mode view's one stratum holds every rule, so this is its
+        whole-program re-evaluation.  The derived relations are updated in
+        place, and the deltas for the strata above come from diffing the
+        old and new canonical key sets.
         """
         sub = self._sub_programs.get(index)
         if sub is None:
@@ -987,10 +971,7 @@ class MaterializedView:
             old[pred] = dict(live.entries())
             live.clear()
         world2, estats = sub.evaluate(
-            self.world,
-            max_iterations=self.max_iterations,
-            semi_naive=self.semi_naive,
-            semantics="auto",
+            self.world, max_iterations=self.max_iterations, semantics=self.semantics
         )
         stats.merge(estats)
         stats.iterations += estats.iterations
@@ -1012,74 +993,59 @@ class MaterializedView:
                     stats.ivm_derived_added += 1
         stats.ivm_recomputed_strata += 1
 
-    def _recompute_all(self, stats: EvaluationStats) -> None:
-        """Inflationary/non-stratifiable fallback: re-evaluate the program."""
-        world, estats = self.program.evaluate(
-            self._edb_database(),
-            max_iterations=self.max_iterations,
-            semi_naive=self.semi_naive,
-            semantics=self.semantics,
-        )
-        stats.merge(estats)
-        stats.iterations += estats.iterations
-        stats.ivm_recomputed_strata += 1
-        self.world = world
-        if estats.incomplete:
-            raise BudgetExceededError("budget exceeded while recomputing view")
-
     # ------------------------------------------------------- stratum analysis
     def _compute_strata(self) -> list[_Stratum]:
-        """SCC condensation of the IDB dependency graph, dependencies first.
+        """The strata of :meth:`DatalogProgram.stratify`, dependencies first.
 
-        Tarjan's algorithm emits SCCs in topological order of the
-        condensation with successors (body predicates) first -- exactly the
-        bottom-up maintenance order.  Roots and successors are visited in
-        sorted order, so the order is deterministic; the walk is iterative,
-        so a deep rule chain does not exhaust the interpreter's stack.
+        A positive program, or a stratifiable one under ``"auto"`` or
+        ``"stratified"``, is maintained incrementally, stratum by stratum.
+        An inflationary or non-stratifiable program with negation is not
+        monotone in the EDB: it is one ``recompute`` stratum of every rule,
+        and the view's mode is ``"recompute"``.
         """
-        idbs = self._idbs
-        edges = {
-            (rule.head.name, atom.name)
-            for rule in self.program.rules
-            for atom in rule.positive_atoms + rule.negative_atoms
-            if atom.name in idbs
-        }
-        strata: list[_Stratum] = []
-        for component in strongly_connected_components(sorted(idbs), edges):
-            preds = frozenset(component)
-            rules = [r for r in self.program.rules if r.head.name in preds]
-            recursive = len(component) > 1 or any(
-                atom.name in preds
-                for rule in rules
-                for atom in rule.positive_atoms + rule.negative_atoms
-            )
-            negated = any(rule.has_negation() for rule in rules)
-            too_wide = any(len(rule.positive_atoms) > _EXPANSION_CAP for rule in rules)
-            body_preds = frozenset(
-                atom.name
-                for rule in rules
-                for atom in rule.positive_atoms + rule.negative_atoms
-            )
-            pos_body_preds = frozenset(
-                atom.name for rule in rules for atom in rule.positive_atoms
-            )
-            stratum = _Stratum(
-                preds=preds,
-                rules=rules,
-                recursive=recursive,
-                recompute=negated or too_wide,
-                body_preds=body_preds,
-                pos_body_preds=pos_body_preds,
-            )
-            if not stratum.recompute:
-                stratum.expansion = DatalogProgram(
-                    _expansion_rules(rules),
-                    self.theory,
-                    allow_unsafe_recursion=True,
-                    options=self._opts,
+        program = self.program
+        groups = None
+        if self.semantics != "inflationary" or not program.has_negation():
+            groups = program.stratify()
+        if groups is None:
+            if self.semantics == "stratified":
+                raise EvaluationError(
+                    "program is not stratifiable (negation through recursion)"
                 )
-            strata.append(stratum)
-        return strata
+            self._mode = "recompute"
+            return [self._stratum(program.rules, recompute=True)]
+        self._mode = "incremental"
+        return [self._stratum(rules) for rules in groups]
+
+    def _stratum(self, rules: list[Rule], recompute: bool = False) -> _Stratum:
+        preds = frozenset(rule.head.name for rule in rules)
+        body_preds = frozenset(
+            atom.name
+            for rule in rules
+            for atom in rule.positive_atoms + rule.negative_atoms
+        )
+        stratum = _Stratum(
+            preds=preds,
+            rules=rules,
+            recursive=bool(preds & body_preds),
+            recompute=recompute
+            or any(
+                rule.has_negation() or len(rule.positive_atoms) > _EXPANSION_CAP
+                for rule in rules
+            ),
+            body_preds=body_preds,
+            pos_body_preds=frozenset(
+                atom.name for rule in rules for atom in rule.positive_atoms
+            ),
+        )
+        if not stratum.recompute:
+            stratum.expansion = DatalogProgram(
+                _expansion_rules(rules),
+                self.theory,
+                allow_unsafe_recursion=True,
+                options=self._opts,
+            )
+        return stratum
 
 
 # ----------------------------------------------------------------- registry
@@ -1165,7 +1131,3 @@ class ViewRegistry:
                 rules=tuple(view.program.rules),
             )
         return exported
-
-
-#: process-wide registry (PR 8); the shell and tests share it
-VIEW_REGISTRY = ViewRegistry()

@@ -7,7 +7,7 @@ just at the end of a sequence.  These tests drive random insert/retract
 interleavings (including retract-then-reinsert churn and no-op deltas) over
 hand-built transitive-closure/negation programs on the two pointwise
 theories, and over conformance-generated cases on all four theories under
-their generated semantics, with both fixpoint orders.
+their generated semantics, against both fixpoint orders.
 
 A second family checks the *cost* half of the contract: maintenance work is
 proportional to the delta, so a no-op batch ticks no joins at all and a
@@ -99,7 +99,7 @@ def _random_steps(rng, pool, count):
 
 
 def _assert_maintained_equals_scratch(make_theory, rules_text, schema,
-                                      seed, semantics, semi_naive):
+                                      seed, semantics):
     rng = random.Random(seed)
     nodes = rng.randrange(3, 6)
     pool = [("E", a, b) for a in range(nodes) for b in range(nodes) if a != b]
@@ -116,12 +116,7 @@ def _assert_maintained_equals_scratch(make_theory, rules_text, schema,
         theory,
         options=EngineOptions.all_on(),
     )
-    view = MaterializedView(
-        program,
-        _empty_db(theory, schema),
-        semantics=semantics,
-        semi_naive=semi_naive,
-    )
+    view = MaterializedView(program, _empty_db(theory, schema), semantics=semantics)
     try:
         edb_keys = {name: set() for name, _ in schema}
         arity = dict(schema)
@@ -142,8 +137,7 @@ def _assert_maintained_equals_scratch(make_theory, rules_text, schema,
             )
             assert view.fingerprint() == expected, (
                 f"maintained != scratch after step {step_index} "
-                f"({op} {key}, semantics={semantics}, "
-                f"semi_naive={semi_naive}, seed={seed})"
+                f"({op} {key}, semantics={semantics}, seed={seed})"
             )
     finally:
         view.close()
@@ -153,42 +147,39 @@ class TestHandBuiltPrograms:
     """Dense-order and equality TC (+ stratified negation) interleavings."""
 
     @settings(max_examples=6, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from(SEMANTICS),
-           st.booleans())
-    def test_dense_order_positive(self, seed, semantics, semi_naive):
+    @given(st.integers(0, 10_000), st.sampled_from(SEMANTICS))
+    def test_dense_order_positive(self, seed, semantics):
         _assert_maintained_equals_scratch(
             DenseOrderTheory, POSITIVE_RULES, [("E", ("x", "y"))],
-            seed, semantics, semi_naive,
+            seed, semantics,
         )
 
     @settings(max_examples=6, deadline=None)
-    @given(st.integers(0, 10_000),
-           st.sampled_from(("auto", "stratified")), st.booleans())
-    def test_dense_order_negation(self, seed, semantics, semi_naive):
+    @given(st.integers(0, 10_000), st.sampled_from(("auto", "stratified")))
+    def test_dense_order_negation(self, seed, semantics):
         _assert_maintained_equals_scratch(
             DenseOrderTheory, NEGATION_RULES,
             [("E", ("x", "y")), ("V", ("x",))],
-            seed, semantics, semi_naive,
+            seed, semantics,
         )
 
     @settings(max_examples=6, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from(SEMANTICS),
-           st.booleans())
-    def test_equality_positive(self, seed, semantics, semi_naive):
+    @given(st.integers(0, 10_000), st.sampled_from(SEMANTICS))
+    def test_equality_positive(self, seed, semantics):
         _assert_maintained_equals_scratch(
             EqualityTheory, POSITIVE_RULES, [("E", ("x", "y"))],
-            seed, semantics, semi_naive,
+            seed, semantics,
         )
 
     @settings(max_examples=4, deadline=None)
-    @given(st.integers(0, 10_000), st.booleans())
-    def test_equality_negation_inflationary_fallback(self, seed, semi_naive):
-        # negation + inflationary resolves to the whole-program recompute
-        # mode; the stepwise contract must hold there too
+    @given(st.integers(0, 10_000))
+    def test_equality_negation_inflationary_fallback(self, seed):
+        # negation + inflationary resolves to the recompute mode, one
+        # stratum of every rule; the stepwise contract must hold there too
         _assert_maintained_equals_scratch(
             EqualityTheory, NEGATION_RULES,
             [("E", ("x", "y")), ("V", ("x",))],
-            seed, "inflationary", semi_naive,
+            seed, "inflationary",
         )
 
 

@@ -92,8 +92,9 @@ class TestEngineQuery:
 
     def test_non_idb_goal_rejected_both_paths(self):
         for engine in (tc_engine(), tc_engine(magic=False)):
-            with pytest.raises(EvaluationError):
-                engine.query("E(0, y)")
+            for _attempt in range(2):  # a rejected shape is never memoized
+                with pytest.raises(EvaluationError):
+                    engine.query("E(0, y)")
 
     def test_no_database_rejected(self):
         rules = parse_rules(TC_RULES, theory=order)
@@ -121,6 +122,28 @@ class TestEngineQuery:
         warm = engine.query("T(3, y)")
         assert warm.stats.compile_hits >= 1
         assert len(engine._prepared) == 1
+
+    def test_one_magic_plan_per_shape(self, monkeypatch):
+        import repro.core.query as query_module
+
+        planned = []
+        real_plan = query_module.magic_plan
+
+        def counting_plan(rules, query, theory, semantics="auto"):
+            planned.append(query.adornment)
+            return real_plan(rules, query, theory, semantics)
+
+        monkeypatch.setattr(query_module, "magic_plan", counting_plan)
+        engine = tc_engine()
+        first = engine.query("T(3, y)")
+        second = engine.query("T(5, y)")
+        # two reuse-cache misses of one shape plan once
+        assert not first.reused and not second.reused
+        assert planned == ["bf"]
+        oracle = tc_engine(magic=False)
+        assert keys(first.relation) == keys(oracle.query("T(3, y)").relation)
+        assert keys(second.relation) == keys(oracle.query("T(5, y)").relation)
+        assert len(second.relation) == 3  # T(5, 6), T(5, 7), T(5, 8)
 
 
 class TestReuseCache:
