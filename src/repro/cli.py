@@ -21,8 +21,8 @@ Commands: ``.theory``, ``.relation``, ``.tuple``, ``.point``, ``.query``,
 
 ``.view on`` registers the accumulated rules as a live materialized view
 over the current database; from then on ``.insert``/``.retract`` apply
-deltas and the derived relations are maintained incrementally (counting /
-DRed through the same compiled closures ``.run`` uses) instead of being
+deltas and the derived relations are maintained incrementally (DRed
+through the same compiled closures ``.run`` uses) instead of being
 recomputed::
 
     cql> .rule T(a, b) :- E(a, b).

@@ -132,7 +132,8 @@ def strategies_for(spec: CaseSpec) -> list[Strategy]:
             routes.append(Strategy("boole_lemma", _run_boole_lemma))
         # incremental maintenance: replay the EDB as an update stream,
         # asserting maintained == from-scratch after every step; the chaos
-        # variant adds retract/reinsert churn (DRed + counting decrements)
+        # variant adds retract/reinsert churn (DRed over-deletion and
+        # re-derivation)
         routes.append(Strategy("incremental", _incremental_runner(churn=0)))
         routes.append(
             Strategy("incremental_chaos", _incremental_runner(churn=2))

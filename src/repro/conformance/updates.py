@@ -19,8 +19,8 @@ index), never by value.  That buys three properties for free:
   comparable against every other strategy through the ordinary oracles.
 
 ``churn > 0`` additionally weaves in retract/reinsert rounds (exercising
-DRed over-deletion/re-derivation and the counting decrement path) and no-op
-retracts of not-yet-inserted tuples (which must cost nothing).
+DRed over-deletion/re-derivation in recursive and non-recursive strata)
+and no-op retracts of not-yet-inserted tuples (which must cost nothing).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@
   fringe property and round-synchronous parallel evaluation (Section 3.3,
   Theorem 3.21);
 * :mod:`repro.core.ivm` -- incremental view maintenance: live fixpoints
-  under insert/retract deltas (counting + DRed over the same engine).
+  under insert/retract deltas (DRed over the same engine).
 """
 
 from repro.core import algebra

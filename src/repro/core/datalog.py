@@ -211,8 +211,7 @@ class EvaluationStats:
     compile_seconds: float = 0.0
     #: incremental view maintenance (:mod:`repro.core.ivm`): maintenance
     #: passes run, EDB delta sizes consumed, derived-relation churn, DRed
-    #: overdeletion/rederivation traffic, counting-support clamps (0 unless
-    #: the support invariant broke), strata recomputed by the fallback
+    #: overdeletion/rederivation traffic, strata recomputed by the fallback
     #: paths, and wall-clock spent maintaining (the bench compares this
     #: against from-scratch evaluation time)
     ivm_steps: int = 0
@@ -222,7 +221,6 @@ class EvaluationStats:
     ivm_derived_removed: int = 0
     ivm_overdeleted: int = 0
     ivm_rederived: int = 0
-    ivm_count_clamps: int = 0
     ivm_recomputed_strata: int = 0
     ivm_maintain_seconds: float = 0.0
     #: semantic-optimizer outcomes (:mod:`repro.analysis.semantic`), copied
@@ -260,8 +258,9 @@ class EvaluationStats:
         """Fraction of DRed-overdeleted tuples that were rederived.
 
         High values mean the deletion overestimate was mostly wrong (tuples
-        had alternative derivations) -- the signature workload where counting
-        would have been cheaper; 0.0 when nothing was overdeleted.
+        had alternative derivations), so most of a retract's over-deletion
+        and re-derivation work restored what it had just removed; 0.0 when
+        nothing was overdeleted.
         """
         if not self.ivm_overdeleted:
             return 0.0
@@ -725,25 +724,27 @@ class DatalogProgram:
         A round fires, in rule order and then body position, each positive
         body atom whose predicate has a non-empty delta, drawing that atom
         from the delta; the tuples it admits are the next delta.  An atom
-        with an empty delta fires nothing: it could derive nothing new.
+        with an empty delta fires nothing: it could derive nothing new, and
+        a delta no rule reads ends the loop without another round.
         ``done`` rounds already ran.  :meth:`evaluate` and the DRed strata
         of :class:`repro.core.ivm.MaterializedView` both continue here.
         """
         admitted: dict[str, list[GeneralizedTuple]] = {}
         delta = {name: items for name, items in delta.items() if items}
         rounds = done
-        while delta:
-            rounds += 1
+        while True:
             tasks: list[tuple[Rule, dict | None, int | None]] = [
                 (rule, delta, position)
                 for rule in rules
                 for position, atom in enumerate(rule.positive_atoms)
                 if atom.name in delta
             ]
+            if not tasks:
+                return admitted
+            rounds += 1
             delta = self._round(tasks, world, stats, caches, rounds, max_iterations)
             for name, items in delta.items():
                 admitted.setdefault(name, []).extend(items)
-        return admitted
 
     def _round(
         self,

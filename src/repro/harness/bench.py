@@ -386,8 +386,8 @@ def _bench_ivm(sizes: Iterable[int], repeat: int) -> dict[str, Any]:
 
     The maintained side registers a :class:`MaterializedView` over the
     N-edge chain, then times a single ``insert`` of the edge extending the
-    chain (DRed/counting maintenance through the same compiled closures the
-    scratch side uses).  The scratch side times a full ``evaluate()`` over
+    chain (DRed maintenance through the same compiled closures the scratch
+    side uses).  The scratch side times a full ``evaluate()`` over
     the (N+1)-edge chain.  Both must land on the identical canonical
     fixpoint -- maintenance is only interesting if it is *exactly* the
     from-scratch answer, faster.  Best-of timing; the ``--check`` gate

@@ -1,9 +1,10 @@
 """A DRed retract costs what it deletes.
 
-A recursive stratum of a :class:`MaterializedView` is maintained by DRed:
-over-delete every tuple with a derivation through a deleted one, discard
-the marks, re-derive the marked tuples that still have a derivation, and
-continue semi-naive.  Both halves are restricted to the deletion:
+Every monotone stratum of a :class:`MaterializedView` (no negation, at
+most six positive atoms per body), recursive or not, is maintained by
+DRed: over-delete every tuple with a derivation through a deleted one,
+discard the marks, re-derive the marked tuples that still have a
+derivation, and continue semi-naive.  Both halves are restricted to the deletion:
 
 * over-deletion is semi-naive -- each round's own-predicate delta is what
   the round before marked, not every mark so far;
@@ -54,7 +55,19 @@ TWO_STEP = """
 T(x, y) :- E(x, z), E(z, y).
 T(x, y) :- T(x, z), E(z, y).
 """
-PROGRAMS = {"left": LEFT, "right": RIGHT, "mutual": MUTUAL, "two_step": TWO_STEP}
+#: two non-recursive strata: R above the recursive one, and J, whose
+#: tuples can have two derivations
+LAYERED = LEFT + """
+R(x, y) :- T(x, z), E(z, y).
+J(x, y) :- E(x, z), E(z, y).
+"""
+PROGRAMS = {
+    "left": LEFT,
+    "right": RIGHT,
+    "mutual": MUTUAL,
+    "two_step": TWO_STEP,
+    "layered": LAYERED,
+}
 
 EDGES = 16
 

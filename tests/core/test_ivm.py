@@ -2,10 +2,10 @@
 
 The differential properties (maintained == from-scratch over random update
 interleavings) live in ``test_ivm_equivalence.py``; this file locks down the
-mechanism: counting supports, DRed over-deletion/re-derivation, negation
-stratum recomputation, the recompute fallback, delta hygiene (EDB-only,
-no-op batches free, retract+reinsert cancellation), and the budget/staleness
-contract.
+mechanism: DRed over-deletion/re-derivation on join and recursive
+strata, negation stratum recomputation, the recompute fallback, delta
+hygiene (EDB-only, no-op batches free, retract+reinsert cancellation),
+and the budget/staleness contract.
 """
 
 from dataclasses import replace
@@ -126,35 +126,54 @@ class TestModes:
                 view.insert("T", _point(7, 8))
 
 
-class TestCounting:
-    def test_support_survives_losing_one_of_two_derivations(self):
-        # J(0, 2) via y=1 and via y=9: retracting one E edge must keep it
+class TestJoinStratum:
+    """DRed on the non-recursive ``J``, where ``J(0, 2)`` has two
+    derivations, through ``y = 1`` and ``y = 9``."""
+
+    F_EDGES = [(1, 2), (9, 2)]
+
+    def test_retract_rederives_then_removes_then_reinsert_restores(self):
         theory = _theory()
         view = MaterializedView(
             _program(JOIN_RULES, theory),
-            _db(theory, E=[(0, 1), (0, 9)], F=[(1, 2), (9, 2)]),
+            _db(theory, E=[(0, 1), (0, 9)], F=self.F_EDGES),
         )
-        assert view.support_count("J", _point(0, 2)) == 2
-        view.retract("E", _point(0, 1))
-        assert view.support_count("J", _point(0, 2)) == 1
+        # losing one derivation over-deletes J(0, 2) and re-derives it
+        stats = view.retract("E", _point(0, 1))
+        assert (stats.ivm_overdeleted, stats.ivm_rederived) == (1, 1)
+        assert stats.ivm_derived_removed == 0
+        assert len(view.relation("J")) == 1
         assert view.fingerprint() == _scratch(
-            JOIN_RULES, _theory, E=[(0, 9)], F=[(1, 2), (9, 2)]
+            JOIN_RULES, _theory, E=[(0, 9)], F=self.F_EDGES
         )
-        view.retract("E", _point(0, 9))
-        assert view.support_count("J", _point(0, 2)) == 0
+        # losing the last one removes it
+        stats = view.retract("E", _point(0, 9))
+        assert stats.ivm_derived_removed == 1
         assert len(view.relation("J")) == 0
-        assert view.total_stats.ivm_count_clamps == 0
+        assert view.fingerprint() == _scratch(
+            JOIN_RULES, _theory, E=[], F=self.F_EDGES
+        )
+        # an edge back derives it again
+        stats = view.insert("E", _point(0, 1))
+        assert stats.ivm_derived_added == 1
+        assert view.fingerprint() == _scratch(
+            JOIN_RULES, _theory, E=[(0, 1)], F=self.F_EDGES
+        )
         view.close()
 
-    def test_insert_increments_support(self):
+    def test_a_second_derivation_adds_nothing_and_outlives_the_first(self):
         theory = _theory()
         view = MaterializedView(
             _program(JOIN_RULES, theory),
             _db(theory, E=[(0, 1)], F=[(1, 2)]),
         )
-        view.insert("E", _point(0, 9))
-        view.insert("F", _point(9, 2))
-        assert view.support_count("J", _point(0, 2)) == 2
+        assert view.insert("E", _point(0, 9)).ivm_derived_added == 0
+        assert view.insert("F", _point(9, 2)).ivm_derived_added == 0
+        stats = view.retract("E", _point(0, 1))
+        assert (stats.ivm_overdeleted, stats.ivm_rederived) == (1, 1)
+        assert view.fingerprint() == _scratch(
+            JOIN_RULES, _theory, E=[(0, 9)], F=self.F_EDGES
+        )
         view.close()
 
 
@@ -376,7 +395,6 @@ class TestStats:
             "ivm_overdeleted",
             "ivm_rederived",
             "ivm_rederivation_ratio",
-            "ivm_count_clamps",
             "ivm_recomputed_strata",
             "ivm_maintain_seconds",
         ):

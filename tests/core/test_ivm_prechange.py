@@ -97,7 +97,7 @@ def test_a_retract_keys_only_what_changed(keyed):
 
 
 def test_refresh_binds_the_views_to_the_new_world():
-    # R is a counting stratum over T: its expansion reads T__ivm_m, and
+    # R is a non-recursive stratum over T: its expansion reads T__ivm_m, and
     # refresh() replaces the derived relation T with a new object
     theory = DenseOrderTheory()
     db = GeneralizedDatabase(theory)

@@ -9,7 +9,8 @@ stratum, two predicates share a stratum only when each reaches the
 other, and ``None`` comes back exactly when a negative edge lies on a
 cycle.  The evaluation test checks that a stratum after a recursive one
 continues semi-naive: the transitive closure is not re-derived, and the
-negated rule fires once.
+negated rule fires once; and that a stratum ends without a round that
+would fire no rule.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from repro.core.compile import CompiledRule
 from repro.core.datalog import DatalogProgram, EngineOptions, Rule
 from repro.logic.parser import parse_rules
 from repro.logic.syntax import Not, RelationAtom
+from repro.runtime.budget import Budget, metered
 from repro.workloads.orders import chain_edges
 
 order = DenseOrderTheory()
@@ -156,3 +158,16 @@ def test_negated_stratum_reads_a_semi_naive_closure(monkeypatch):
         assert frozenset(world.relation(name).keys()) == frozenset(
             expected.relation(name).keys()
         )
+
+
+def test_a_stratum_stops_before_a_round_with_no_tasks():
+    # the closure's last round admits nothing, and the Sep stratum's one
+    # round admits only tuples no rule of it reads: neither stratum runs
+    # a further round (each ended on an empty one, [..., 28, 0] in 9)
+    program = DatalogProgram(parse_rules(SEP_RULES, theory=order), order)
+    meter = Budget().start()
+    with metered(meter):
+        _world, stats = program.evaluate(_chain(6))
+    assert stats.per_round_new == [6, 5, 4, 3, 2, 1, 0, 28]
+    assert stats.iterations == 8
+    assert meter.counts["round"] == 8

@@ -18,7 +18,7 @@ from repro.core import DatalogProgram, GeneralizedDatabase, MaterializedView
 from repro.core.generalized import GeneralizedTuple
 from repro.logic.parser import parse_rules
 
-#: a recursive (DRed) stratum and a non-recursive (counting) one
+#: a recursive stratum and a non-recursive one, both maintained by DRed
 RULES = """
 T(x, y) :- E(x, y).
 T(x, z) :- E(x, y), T(y, z).
