@@ -110,40 +110,3 @@ def test_canonical_dedup_keeps_fixpoint_small(benchmark):
             f"holds {len(world.relation('T'))} tuple after {stats.iterations} iterations"
         ],
     )
-
-
-def test_selection_propagation(benchmark):
-    from repro.core.calculus import evaluate_calculus
-    from repro.core.optimize import optimize
-    from repro.core.generalized import GeneralizedDatabase
-    from repro.logic.syntax import And, RelationAtom
-
-    db = GeneralizedDatabase(order)
-    big = db.create_relation("Big", ("x", "y"))
-    for i in range(60):
-        big.add_point([i, i + 1])
-    small = db.create_relation("Small", ("x",))
-    small.add_point([3])
-    # the unoptimized order joins Big x Small before filtering
-    query = And(
-        (RelationAtom("Big", ("x", "y")), RelationAtom("Small", ("x",)), lt("y", 10))
-    )
-    rewritten = optimize(query, db)
-    base_time = time_callable(lambda: evaluate_calculus(query, db))
-    optimized_time = time_callable(lambda: evaluate_calculus(rewritten, db))
-    base = evaluate_calculus(query, db)
-    optimized = evaluate_calculus(rewritten, db, output=base.variables)
-    from fractions import Fraction
-
-    for a in range(8):
-        point = {"x": Fraction(a), "y": Fraction(a + 1)}
-        assert base.contains_point(point) == optimized.contains_point(point)
-    benchmark(lambda: evaluate_calculus(rewritten, db))
-    report(
-        "Ablation: selection propagation + join ordering (Section 6(3))",
-        "evaluating selective conjuncts first shrinks intermediates",
-        [
-            f"N=60 join: unoptimized {base_time*1000:.0f}ms vs "
-            f"optimized {optimized_time*1000:.0f}ms (same answers)"
-        ],
-    )

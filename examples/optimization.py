@@ -2,13 +2,8 @@
 
 The paper asks "how do various optimization methods combine with our
 framework?" and cites Ramakrishnan's magic templates [44].  This example
-runs the two optimizers implemented here on the same workload:
-
-* **selection propagation / join ordering** for calculus queries -- the
-  selective conjuncts are evaluated first, keeping intermediate generalized
-  relations small;
-* **magic sets** for Datalog -- a reachability query bound to one source
-  only explores the relevant component of the graph.
+runs **magic sets** for Datalog: a reachability query bound to one source
+only explores the relevant component of the graph.
 
 Run:  python examples/optimization.py
 """
@@ -17,42 +12,10 @@ import time
 from fractions import Fraction
 
 from repro import DatalogProgram, DenseOrderTheory, GeneralizedDatabase
-from repro.constraints.dense_order import lt
-from repro.core.calculus import evaluate_calculus
 from repro.core.magic import MagicQuery, answer_magic_query, magic_rewrite
-from repro.core.optimize import optimize
 from repro.logic.parser import parse_rules
-from repro.logic.syntax import And, RelationAtom
 
 order = DenseOrderTheory()
-
-
-def selection_propagation() -> None:
-    db = GeneralizedDatabase(order)
-    big = db.create_relation("Big", ("x", "y"))
-    for i in range(40):
-        big.add_point([i, i + 1])
-    small = db.create_relation("Small", ("x",))
-    small.add_point([3])
-
-    query = And(
-        (RelationAtom("Big", ("x", "y")), RelationAtom("Small", ("x",)), lt("y", 10))
-    )
-    rewritten = optimize(query, db)
-
-    start = time.perf_counter()
-    base = evaluate_calculus(query, db)
-    base_time = time.perf_counter() - start
-    start = time.perf_counter()
-    fast = evaluate_calculus(rewritten, db, output=base.variables)
-    fast_time = time.perf_counter() - start
-
-    point = {"x": Fraction(3), "y": Fraction(4)}
-    assert base.contains_point(point) and fast.contains_point(point)
-    print("selection propagation (calculus):")
-    print(f"  original order:  Big |x| Small |x| sigma  -> {base_time*1000:.1f}ms")
-    print(f"  optimized order: sigma, Small, Big        -> {fast_time*1000:.1f}ms")
-    print()
 
 
 def magic_sets() -> None:
@@ -98,7 +61,6 @@ def magic_sets() -> None:
 
 
 def main() -> None:
-    selection_propagation()
     magic_sets()
 
 

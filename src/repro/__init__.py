@@ -34,7 +34,6 @@ from repro.core.generalized import (
     GeneralizedTuple,
 )
 from repro.core.magic import MagicQuery, answer_magic_query
-from repro.core.optimize import optimize
 
 __version__ = "1.0.0"
 
@@ -53,6 +52,5 @@ __all__ = [
     "answer_magic_query",
     "evaluate_boolean_query",
     "evaluate_calculus",
-    "optimize",
     "__version__",
 ]

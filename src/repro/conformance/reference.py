@@ -10,9 +10,9 @@ semi-naive for positive programs, stratum by stratum for stratifiable
 negation, inflationary otherwise (or on request).
 
 It shares no join code with the engine it checks: no planner, indexes,
-pin maps, rename/complement caches or compiled closures, and the theories'
-:class:`~repro.constraints.base.TheoryCache` is off for the run.  The
-complement of every negated atom is recomputed at every firing.  What it
+pin maps, rename caches, difference steps or compiled closures, and the
+theories' :class:`~repro.constraints.base.TheoryCache` is off for the run.
+The complement of every negated atom is recomputed at every firing.  What it
 does share is not join code: the theory API, ``relation_complement_dnf``,
 ``GeneralizedRelation.add_canonical`` and the dependency graph of
 :mod:`repro.analysis.graph`.  Derived tuples are stored canonically, so

@@ -293,10 +293,10 @@ def relation_complement_dnf(
 ) -> Dnf:
     """The complement of a generalized relation, renamed onto ``args``.
 
-    This is the De Morgan expansion a negated database atom denotes; the
-    Datalog engine caches the result per (relation name, args, content
-    version), so stratified/inflationary rounds stop recomplementing
-    relations that did not change.
+    This is the De Morgan expansion a negated database atom denotes, as
+    the calculus evaluator and the reference Datalog evaluator read it.
+    The Datalog engine complements only the tuples a match meets (the
+    difference step of :mod:`repro.core.compile`).
     """
     renamed = [tuple(t.rename(tuple(args)).atoms) for t in relation]
     return complement_dnf(renamed, theory)

@@ -12,15 +12,15 @@ PTIME data complexity, so the per-tuple work should be a constant decided
 once per rule, not re-derived per tuple).
 
 This module lowers each (rule, delta slot, join order) triple into a chain
-of specialized Python closures -- one step per positive body atom plus a
-leaf -- with the decisions baked in at lowering time.  Several layers are
-not decisions but constants of the join: every step rejects a candidate
-whose ``var = const`` pins conflict with the pins accumulated so far (one
-pin map threads the chain), a step that leaves the pin fast path extends
-its parent's incremental solver context instead of re-deciding the whole
-partial conjunction, each tuple's renamed and classified entry record is
-cached per evaluation, and a negated relation's complement DNF is memoized
-per content version.  The decisions are:
+of specialized Python closures -- one step per positive body atom, one
+difference step per negated atom, and a leaf -- with the decisions baked in
+at lowering time.  Several layers are not decisions but constants of the
+join: every step rejects a candidate whose ``var = const`` pins conflict
+with the pins accumulated so far (one pin map threads the chain), a step
+that leaves the pin fast path extends its parent's incremental solver
+context instead of re-deciding the whole partial conjunction, and each
+tuple's renamed and classified entry record is cached per evaluation.  The
+decisions are:
 
 * the join order: the semi-naive delta slot first, then the greedy
   selectivity planner's order over the other atoms (see
@@ -35,10 +35,14 @@ per content version.  The decisions are:
   common shape for the dense-order and equality theories -- every
   ``add_point`` tuple) extends the join by a dictionary merge instead of a
   solver call;
-* the leaf: a positive rule whose completed match pins every head variable
-  (Figure 2's ``n1, n2`` are pinned by the rectangles they name) emits the
-  head's pins directly instead of running quantifier elimination, in every
-  theory; a rule with negation always eliminates.
+* negation as a difference: ``C and not N`` equals ``C and not (N
+  restricted to C)``, so a negated atom's step fetches ``N``'s candidates
+  as a positive step does.  A match that pins every argument of ``N``
+  survives unless a candidate contains it; any other match is conjoined
+  with each disjunct of the complement of the candidates it meets;
+* the leaf: a match that pins every head variable (Figure 2's ``n1, n2``
+  are pinned by the rectangles they name) emits the head's pins directly
+  instead of running quantifier elimination, in every theory.
 
 **Correctness contract.**  Every fixpoint equals the one
 :func:`repro.conformance.reference.reference_fixpoint` computes -- a
@@ -52,6 +56,9 @@ candidates are visited:
   equality theory is satisfiable iff no variable is pinned to two distinct
   constants -- exactly the dictionary-merge check (both theories are
   pointwise: a ground pin set denotes the single point it spells);
+* a difference step leaves out only tuples of ``N`` that share no point
+  with the match, and a point lies in a candidate iff a POINT candidate's
+  pins agree or the candidate is satisfiable with the point's pins;
 * a leaf runs only on a conjunction the root or the last step found
   satisfiable, and every theory decides satisfiability exactly; a
   satisfiable conjunction that entails ``v = c`` for each head variable
@@ -72,18 +79,17 @@ repeated ``evaluate()`` calls skip planning and lowering entirely.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
-from repro.core.calculus import relation_complement_dnf
+from repro.core.calculus import complement_dnf
 from repro.core.generalized import GeneralizedTuple
 from repro.logic.syntax import Atom, RelationAtom
 from repro.runtime.budget import tick
@@ -92,7 +98,7 @@ from repro.runtime.chaos import unwrap_theory
 if TYPE_CHECKING:  # imported for annotations only: datalog imports us
     from repro.constraints.base import ConstraintTheory
     from repro.core.datalog import EvaluationStats, Rule
-    from repro.core.generalized import GeneralizedDatabase, GeneralizedRelation
+    from repro.core.generalized import GeneralizedDatabase
 
 #: entry kinds decided once per (tuple, body atom) pair at lowering time
 POINT = 0  #: every atom is a ``var = const`` pin (pointwise theories only)
@@ -150,12 +156,13 @@ def plan_order(
 # ------------------------------------------------------------------------- IR
 @dataclass(frozen=True)
 class StepIR:
-    """One lowered join step (a positive body atom in plan order)."""
+    """One lowered join step (a positive atom in plan order, then each
+    negated atom's difference step)."""
 
     slot: int  #: position in the lowered chain
-    position: int  #: original index among the rule's positive atoms
-    atom: str  #: the body atom, e.g. ``T(x, z)``
-    source: str  #: ``"delta"`` or ``"relation"``
+    position: int  #: original index among the rule's positive (or negated) atoms
+    atom: str  #: the body literal, e.g. ``T(x, z)`` or ``not T(y, x)``
+    source: str  #: ``"delta"``, ``"relation"`` or ``"difference"``
     access: str  #: ``"probe-or-scan"`` or ``"scan"``
     bound_before: tuple[str, ...]  #: variables bound when this step runs
 
@@ -170,9 +177,8 @@ class RuleIR:
     root: str  #: ``"point pins={...}"`` or ``"general (k constraints)"``
     steps: tuple[StepIR, ...]
     #: ``"pin-emit (...) when every head variable is pinned, else eliminate
-    #: drop=(...)"``, or ``"eliminate drop=(...)"`` for a rule with negation
+    #: drop=(...)"``
     leaf: str
-    negated: tuple[str, ...]
 
     def render(self) -> str:
         """Deterministic multi-line pretty print (the shell's ``.plan``)."""
@@ -191,8 +197,6 @@ class RuleIR:
                 f"  step {step.slot}: {step.atom}  "
                 f"[{step.source}, {step.access}; bound: {bound}]"
             )
-        for name in self.negated:
-            lines.append(f"  negation: complement({name}) expanded at the leaf")
         lines.append(f"leaf: {self.leaf}")
         return "\n".join(lines)
 
@@ -223,40 +227,6 @@ def _classify(
     if pointwise and len(pins) == len(renamed):
         return POINT
     return GENERAL
-
-
-# ----------------------------------------------------------- shared utilities
-def _expand_negations(
-    negated_dnfs: list[list[tuple[Atom, ...]]]
-) -> Iterator[tuple[Atom, ...]]:
-    """Cartesian expansion of the negated atoms' complement DNFs."""
-    if not negated_dnfs:
-        yield ()
-        return
-    for combo in itertools.product(*negated_dnfs):
-        merged: tuple[Atom, ...] = ()
-        for part in combo:
-            merged = merged + part
-        yield merged
-
-
-def _complement_dnf(
-    atom: RelationAtom,
-    relation: "GeneralizedRelation",
-    caches: Any,
-    stats: "EvaluationStats",
-    theory: "ConstraintTheory",
-) -> list[tuple[Atom, ...]]:
-    """Complement DNF of a negated atom, cached per content version."""
-    key = (atom.name, atom.args, relation.version)
-    cached = caches.complement.get(key)
-    if cached is None:
-        cached = relation_complement_dnf(relation, atom.args, theory)
-        caches.complement[key] = cached
-        stats.complement_cache_misses += 1
-    else:
-        stats.complement_cache_hits += 1
-    return cached
 
 
 # ----------------------------------------------------------- entry records
@@ -303,7 +273,6 @@ class _FiringState:
         "relations",
         "delta_lists",
         "scan_lists",
-        "negated_dnfs",
     )
 
     def __init__(
@@ -312,7 +281,6 @@ class _FiringState:
         caches: Any,
         relations: list,
         delta_lists: list,
-        negated_dnfs: list,
     ) -> None:
         self.stats = stats
         self.caches = caches
@@ -320,7 +288,6 @@ class _FiringState:
         self.relations = relations  # per slot: GeneralizedRelation | None
         self.delta_lists = delta_lists  # per slot: list of delta tuples | None
         self.scan_lists: list[list[EntryRecord] | None] = [None] * len(relations)
-        self.negated_dnfs = negated_dnfs
 
 
 # ------------------------------------------------------------- compiled rule
@@ -440,19 +407,11 @@ class CompiledRule:
             if order != tuple(sorted(order)):
                 stats.plan_reorders += 1
         variant = self._variant(delta_slot, order, stats)
-        negated_dnfs = [
-            _complement_dnf(atom, world.relation(atom.name), caches, stats, self.theory)
-            for atom in self.negated
-        ]
+        # the difference steps read their whole relations, after the steps
+        slots = [relations[i] for i in order]
+        slots += [world.relation(atom.name) for atom in self.negated]
         state = _FiringState(
-            stats,
-            caches,
-            [relations[i] for i in order],
-            [
-                delta_source if relations[i] is None and delta is not None else None
-                for i in order
-            ],
-            negated_dnfs,
+            stats, caches, slots, [delta_source if r is None else None for r in slots]
         )
         stats.compiled_firings += 1
         variant(state)
@@ -484,12 +443,13 @@ class CompiledRule:
     ) -> tuple[Callable[[_FiringState], None], RuleIR]:
         """Emit the closure chain for one (delta slot, join order) variant.
 
-        One closure per positive atom plus a leaf, composed back-to-front;
-        every per-candidate decision that depends only on (rule, plan) is
-        resolved here, once.
+        One closure per positive atom, then one difference step per negated
+        atom, then the leaf, composed back-to-front; every per-candidate
+        decision that depends only on (rule, plan) is resolved here, once.
         """
         theory = self.theory
         plan_atoms = [self.positives[i] for i in order]
+        slot_atoms = plan_atoms + list(self.negated)  # difference steps last
         constraints = self.constraints
         head_name = self.head_name
         head_vars = self.head_vars
@@ -500,74 +460,56 @@ class CompiledRule:
         # and the theory has interval keys (dense order)
         dense = isinstance(unwrap_theory(theory), DenseOrderTheory)
         probing = [dense and position != delta_position for position in order]
+        probing += [dense] * len(self.negated)
 
         # ------------------------------------------------------------- leaf
         head_set = frozenset(head_vars)
 
-        if self.negated:  # negation needs the generic complement expansion
-
-            def leaf(
-                state: _FiringState,
-                atoms: tuple[Atom, ...],
-                pins: dict[str, Any],
-                point: bool,
-                solver: Any,
-            ) -> None:
-                stats = state.stats
-                results = state.results
-                for negated in _expand_negations(state.negated_dnfs):
-                    stats.rule_firings += 1
-                    conjunction = atoms + negated
-                    if negated:
-                        stats.sat_checks += 1
-                        if not theory.is_satisfiable(conjunction):
-                            stats.join_prunes += 1
-                            continue
-                    for eliminated in theory.eliminate(conjunction, drop):
-                        stats.tuples_derived += 1
-                        results.append(
-                            (head_name, GeneralizedTuple(head_vars, eliminated))
-                        )
-
-        else:
-
-            def leaf(
-                state: _FiringState,
-                atoms: tuple[Atom, ...],
-                pins: dict[str, Any],
-                point: bool,
-                solver: Any,
-            ) -> None:
-                stats = state.stats
-                stats.rule_firings += 1
-                if point or pins.keys() >= head_set:
-                    # a satisfiable context (the root or the last step
-                    # decided it) that pins every head variable projects
-                    # onto exactly those pins, in every theory; a ground pin
-                    # set leaves the head variables it does not pin free.
-                    # One conjunction either way -- see module doc
-                    stats.fastpath_leaves += 1
-                    stats.tuples_derived += 1
-                    emitted = tuple(
-                        make_equality(v, make_constant(pins[v]))
-                        for v in head_vars
-                        if v in pins
-                    )
-                    state.results.append(
-                        (head_name, GeneralizedTuple(head_vars, emitted))
-                    )
-                    return
-                for eliminated in theory.eliminate(atoms, drop):
-                    stats.tuples_derived += 1
-                    state.results.append(
-                        (head_name, GeneralizedTuple(head_vars, eliminated))
-                    )
+        def leaf(
+            state: _FiringState,
+            atoms: tuple[Atom, ...],
+            pins: dict[str, Any],
+            point: bool,
+            solver: Any,
+        ) -> None:
+            stats = state.stats
+            stats.rule_firings += 1
+            if point or pins.keys() >= head_set:
+                # a satisfiable context (the root or the last step
+                # decided it) that pins every head variable projects
+                # onto exactly those pins, in every theory; a ground pin
+                # set leaves the head variables it does not pin free.
+                # One conjunction either way -- see module doc
+                stats.fastpath_leaves += 1
+                stats.tuples_derived += 1
+                emitted = tuple(
+                    make_equality(v, make_constant(pins[v]))
+                    for v in head_vars
+                    if v in pins
+                )
+                state.results.append(
+                    (head_name, GeneralizedTuple(head_vars, emitted))
+                )
+                return
+            for eliminated in theory.eliminate(atoms, drop):
+                stats.tuples_derived += 1
+                state.results.append(
+                    (head_name, GeneralizedTuple(head_vars, eliminated))
+                )
 
         # ------------------------------------------------------------- steps
+        def extend(atoms: tuple[Atom, ...], solver: Any, more: tuple[Atom, ...]) -> Any:
+            """The solver context of ``atoms + more``.  Leaving point mode
+            (no ``solver``) builds it for the concatenation directly, which
+            the incremental closure matches."""
+            if solver is None:
+                return theory.begin_conjunction(atoms + more)
+            return theory.extend_conjunction(solver, more)
+
         def make_step(
             slot: int, next_call: Callable[..., None]
         ) -> Callable[..., None]:
-            atom = plan_atoms[slot]
+            atom = slot_atoms[slot]
             args = atom.args
             nargs = tuple(enumerate(args))
             scan_key = (atom.name, args)
@@ -656,6 +598,15 @@ class CompiledRule:
                 state.scan_lists[slot] = records
                 return records
 
+            def candidates(
+                state: _FiringState, pins: dict[str, Any], solver: Any
+            ) -> list[EntryRecord]:
+                entries = probe_records(state, pins, solver) if probes else None
+                return scan_records(state) if entries is None else entries
+
+            if slot >= len(plan_atoms):
+                return make_difference(candidates, args, next_call)
+
             def step(
                 state: _FiringState,
                 atoms: tuple[Atom, ...],
@@ -664,10 +615,7 @@ class CompiledRule:
                 solver: Any,
             ) -> None:
                 stats = state.stats
-                entries = probe_records(state, pins, solver) if probes else None
-                if entries is None:
-                    entries = scan_records(state)
-                for renamed, cpins, kind in entries:
+                for renamed, cpins, kind in candidates(state, pins, solver):
                     stats.join_steps += 1
                     tick("join")
                     if cpins:
@@ -691,14 +639,7 @@ class CompiledRule:
                         # candidate enumeration, cheaper decision
                         next_call(state, atoms + renamed, child_pins, True, None)
                         continue
-                    if solver is None:
-                        # leaving point mode: build the context for the
-                        # concatenation directly (equivalent to extending a
-                        # context over ``atoms`` -- the incremental closure
-                        # matches the from-scratch one)
-                        child = theory.begin_conjunction(atoms + renamed)
-                    else:
-                        child = theory.extend_conjunction(solver, renamed)
+                    child = extend(atoms, solver, renamed)
                     stats.closure_extensions += 1
                     if not child.satisfiable:
                         stats.join_prunes += 1
@@ -707,8 +648,65 @@ class CompiledRule:
 
             return step
 
+        def make_difference(
+            candidates: Callable[..., list[EntryRecord]],
+            args: tuple[str, ...],
+            next_call: Callable[..., None],
+        ) -> Callable[..., None]:
+            """The step of ``not N(args)``: ``C and not N = C and not (N
+            restricted to C)``, so only the candidates that meet the match
+            are subtracted from it."""
+            arg_set = frozenset(args)
+
+            def difference(
+                state: _FiringState,
+                atoms: tuple[Atom, ...],
+                pins: dict[str, Any],
+                point: bool,
+                solver: Any,
+            ) -> None:
+                stats = state.stats
+                # a match that pins every argument is one point of N's
+                # space, which a candidate meets iff it contains it
+                pinned = pins.keys() >= arg_set
+                meeting = []
+                for renamed, cpins, kind in candidates(state, pins, solver):
+                    stats.join_steps += 1
+                    tick("join")
+                    if any(pins.get(v, c) != c for v, c in cpins.items()):
+                        stats.pin_prunes += 1
+                        continue
+                    if kind == POINT and (point or pinned):
+                        meets = True  # the pin check above decided it
+                    elif pinned:
+                        stats.sat_checks += 1
+                        meets = theory.is_satisfiable(
+                            renamed
+                            + tuple(make_equality(v, make_constant(pins[v])) for v in args)
+                        )
+                    else:
+                        stats.closure_extensions += 1
+                        meets = extend(atoms, solver, renamed).satisfiable
+                    if meets and pinned:
+                        stats.join_prunes += 1
+                        return  # the point lies in N
+                    if meets:
+                        meeting.append(renamed)
+                if not meeting:
+                    next_call(state, atoms, pins, point, solver)
+                    return
+                for part in complement_dnf(meeting, theory):
+                    child = extend(atoms, solver, part)
+                    stats.closure_extensions += 1
+                    if not child.satisfiable:
+                        stats.join_prunes += 1
+                        continue
+                    next_call(state, child.atoms, pins, False, child)
+
+            return difference
+
         chain: Callable[..., None] = leaf
-        for slot in range(len(plan_atoms) - 1, -1, -1):
+        for slot in range(len(slot_atoms) - 1, -1, -1):
             chain = make_step(slot, chain)
 
         # -------------------------------------------------------------- root
@@ -731,14 +729,19 @@ class CompiledRule:
         # ----------------------------------------------------------------- IR
         bound: set[str] = set(self.root_pin_map)
         steps = []
-        for slot, atom in enumerate(plan_atoms):
-            position = order[slot]
+        for slot, atom in enumerate(slot_atoms):
+            negated = slot >= len(plan_atoms)
+            position = slot - len(plan_atoms) if negated else order[slot]
             steps.append(
                 StepIR(
                     slot=slot,
                     position=position,
-                    atom=str(atom),
-                    source="delta" if position == delta_position else "relation",
+                    atom=f"not {atom}" if negated else str(atom),
+                    source=(
+                        "difference" if negated
+                        else "delta" if position == delta_position
+                        else "relation"
+                    ),
                     access="probe-or-scan" if probing[slot] else "scan",
                     bound_before=tuple(sorted(bound)),
                 )
@@ -751,21 +754,16 @@ class CompiledRule:
             root_desc = f"point pins={{{pins}}}"
         else:
             root_desc = f"general ({len(constraints)} constraint atoms)"
-        if self.negated:
-            leaf_desc = f"eliminate drop={tuple(drop)}"
-        else:
-            leaf_desc = (
-                f"pin-emit {tuple(head_vars)} when every head variable is "
-                f"pinned, else eliminate drop={tuple(drop)}"
-            )
         ir = RuleIR(
             rule=str(self.rule),
             order=order,
             delta_position=delta_position,
             root=root_desc,
             steps=tuple(steps),
-            leaf=leaf_desc,
-            negated=tuple(a.name for a in self.negated),
+            leaf=(
+                f"pin-emit {tuple(head_vars)} when every head variable is "
+                f"pinned, else eliminate drop={tuple(drop)}"
+            ),
         )
         return run, ir
 

@@ -91,8 +91,8 @@ class GeneralizedRelation:
         self.theory = theory
         self._tuples: dict[frozenset[Atom], GeneralizedTuple] = {}
         #: monotone content-version counter: bumped on every successful
-        #: ``add``/``discard``, so derived results (e.g. the complement DNF a
-        #: negated rule body needs) can be cached per (name, version) and
+        #: ``add``/``discard``, so derived results (e.g. the join's scan
+        #: lists and probe results) can be cached per (name, version) and
         #: reused until the relation actually changes
         self.version = 0
         #: generalized 1-d indexes by attribute (Section 1.1(3)), created by

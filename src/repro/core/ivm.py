@@ -64,6 +64,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, cast
 
 from repro.constraints.base import ConstraintTheory
+from repro.constraints.dense_order import DenseOrderTheory
 from repro.core.datalog import (
     DatalogProgram,
     EvaluationStats,
@@ -84,6 +85,7 @@ from repro.errors import (
 )
 from repro.logic.syntax import Atom, RelationAtom
 from repro.runtime.budget import active_meter, metered, tick
+from repro.runtime.chaos import unwrap_theory
 
 if TYPE_CHECKING:
     from repro.indexing.generalized_index import GeneralizedIndex1D
@@ -500,32 +502,40 @@ class MaterializedView:
 
         DRed's semi-naive continuation (after re-derivation and for
         insertion) fires delta-at-position tasks against the *live*
-        relations, which may probe an attribute the registration fixpoint
-        never probed; a relation builds each index at its first probe,
-        which would charge an O(|relation|) construction to the first
-        delta.  Replaying the same task shapes once here -- full live
-        content standing in for the delta, derivations discarded -- moves
-        that cost into registration, keeping ``apply`` delta-proportional
-        from the first call.  The relations keep the warmed indexes
-        current afterwards.
+        relations, and under dense order each step after the delta probes
+        its relation's index on an argument bound before it (DESIGN
+        §10.2).  A relation builds each index at its first probe, which
+        would charge an O(|relation|) construction to the first delta.
+        Walking each (rule, delta position) join order once here, and
+        building the index of each later non-empty atom on its first
+        argument bound before it, moves that cost into registration without
+        firing anything, keeping ``apply`` delta-proportional from the first
+        call.  The relations keep the indexes current afterwards.
         """
-        scratch = EvaluationStats()
+        if not isinstance(unwrap_theory(self.program.theory), DenseOrderTheory):
+            return  # only dense order probes
+        compiled = self._require(self._caches).rules
         for stratum in self._strata:
             if stratum.recompute:
                 continue
-            content = {
-                name: list(self.world.relation(name))
-                for name in sorted(stratum.pos_body_preds)
-            }
-            tasks: list[tuple[Rule, dict | None, int | None]] = []
             for rule in stratum.rules:
-                for position, atom in enumerate(rule.positive_atoms):
-                    if content.get(atom.name):
-                        tasks.append((rule, content, position))
-            if tasks:
-                self.program._execute_round(
-                    tasks, self.world, scratch, self._require(self._caches)
-                )
+                atoms = rule.positive_atoms
+                relations = [self.world.relation(atom.name) for atom in atoms]
+                sizes = [len(relation) for relation in relations]
+                compiled_rule = compiled[id(rule)]
+                for position, atom in enumerate(atoms):
+                    if not sizes[position]:
+                        continue  # an empty delta fires nothing
+                    bound = set(compiled_rule.root_pin_map) | set(atom.args)
+                    for slot in compiled_rule.join_order(sizes, position)[1:]:
+                        args = atoms[slot].args
+                        first = next(
+                            (i for i, var in enumerate(args) if var in bound), None
+                        )
+                        if first is not None and sizes[slot]:
+                            relation = relations[slot]
+                            relation.index(relation.variables[first])
+                        bound.update(args)
 
     @staticmethod
     def _require(caches: _EvalCaches | None) -> _EvalCaches:

@@ -387,7 +387,13 @@ class TestRenderPlan:
             "else eliminate drop=('z',)"
         ) in positive
         negated = render_plan(program, program.rules[2], None)
-        assert "leaf: eliminate drop=()" in negated
+        assert (
+            "step 1: not T(y, x)  [difference, probe-or-scan; bound: x, y]"
+        ) in negated
+        assert (
+            "leaf: pin-emit ('x', 'y') when every head variable is pinned, "
+            "else eliminate drop=()"
+        ) in negated
 
     def test_planner_reorders_on_live_sizes(self):
         # E is tiny, T huge after closure over a denser graph: the greedy

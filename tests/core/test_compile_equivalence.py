@@ -18,9 +18,11 @@ from repro.conformance.oracles import compare_relations
 from repro.conformance.reference import reference_fixpoint
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
+from repro.constraints.real_poly import RealPolynomialTheory, poly_ge, poly_le
 from repro.core.datalog import DatalogProgram, EngineOptions
 from repro.core.generalized import GeneralizedDatabase
 from repro.logic.parser import parse_rules
+from repro.poly.polynomial import poly_var
 
 POSITIVE_RULES = """
 T(x, y) :- E(x, y).
@@ -29,6 +31,12 @@ T(x, y) :- T(x, z), E(z, y).
 
 NEGATION_RULES = POSITIVE_RULES + """
 U(x, y) :- V(x), V(y), not T(x, y).
+"""
+
+#: a negated atom whose matches are not all points: ``E``'s interval tuple
+#: (dense order) and ``x != y`` tuple (equality) leave ``x, y`` unpinned
+INTERVAL_NEGATION_RULES = NEGATION_RULES + """
+W(x, y) :- E(x, y), not T(y, x).
 """
 
 SEMANTICS = ("auto", "stratified", "inflationary")
@@ -83,6 +91,7 @@ def _assert_matches_reference(make_theory, make_db, theory_name, seed, size):
     for rules_text, names in (
         (POSITIVE_RULES, ("T",)),
         (NEGATION_RULES, ("T", "U")),
+        (INTERVAL_NEGATION_RULES, ("T", "U", "W")),
     ):
         layout_seed = rng.randrange(1 << 30)
         for semantics in SEMANTICS:
@@ -131,6 +140,30 @@ class TestCompiledEquivalence:
         _assert_matches_reference(
             EqualityTheory, _random_equality_db, "equality", seed, size
         )
+
+
+def test_real_poly_interval_minus_interval():
+    # [0, 4] minus [1, 2]: a match that pins nothing, so the difference
+    # step conjoins it with the complement of the one tuple it meets
+    theory = RealPolynomialTheory()
+    x = poly_var("x")
+    rules = parse_rules("U(x) :- I(x), not J(x).", theory=theory)
+    db = GeneralizedDatabase(theory)
+    db.create_relation("I", ("x",)).add_tuple([poly_ge(x, 0), poly_le(x, 4)])
+    db.create_relation("J", ("x",)).add_tuple([poly_ge(x, 1), poly_le(x, 2)])
+    expected = reference_fixpoint(rules, theory, db).relation("U")
+    world, _stats = DatalogProgram(rules, theory).evaluate(db)
+    found = compare_relations(
+        expected, world.relation("U"), "reference", "engine", "real_poly"
+    )
+    assert found is None, found.describe()
+    answer = world.relation("U")
+    for value, inside in (
+        (-1, False), (0, True), (Fraction(1, 2), True), (1, False),
+        (Fraction(3, 2), False), (2, False), (Fraction(5, 2), True),
+        (4, True), (5, False),
+    ):
+        assert answer.contains_values([Fraction(value)]) is inside, value
 
 
 class TestFourTheoryMatrix:

@@ -56,7 +56,6 @@ def _cache_sizes(caches):
     yield "centries", sum(len(records) for records in caches.centries.values())
     yield "cscan", sum(len(records) for _, records in caches.cscan.values())
     yield "cprobe", sum(len(by_bounds) for _, by_bounds in caches.cprobe.values())
-    yield "complement", len(caches.complement)
 
 
 def _all_caches(view):
