@@ -307,6 +307,18 @@ class TestStats:
         assert stats.parallel_rounds == 0
         assert "parallel_rounds" not in stats.as_dict()
 
+    def test_complement_cache_counters_read_zero(self):
+        # a negated atom is a difference step of the join and no complement
+        # is memoized; the names stay readable for the perfbench tracer
+        rules = parse_rules("S(x) :- V(x), not R(x).", theory=order)
+        db = GeneralizedDatabase(order)
+        db.create_relation("V", ("x",)).add_point([1])
+        db.create_relation("R", ("x",)).add_point([1])
+        _world, stats = DatalogProgram(rules, order).evaluate(db)
+        assert stats.join_steps == 2  # V's tuple, then R's candidate
+        assert stats.complement_cache_hits == stats.complement_cache_misses == 0
+        assert "complement_cache_misses" not in stats.as_dict()
+
 
 #: two recursive rules plus a three-way join: several tasks per round
 THREE_WAY_RULES = """

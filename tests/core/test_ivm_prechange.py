@@ -30,6 +30,7 @@ from repro.core.generalized import GeneralizedRelation, GeneralizedTuple
 from repro.core.ivm import _PreChange
 from repro.indexing import generalized_index
 from repro.logic.parser import parse_rules
+from repro.runtime.budget import Budget, supervised
 
 RULES = """
 T(x, y) :- E(x, y).
@@ -94,6 +95,23 @@ def test_a_retract_keys_only_what_changed(keyed):
             getattr(view, step)("E", last)
             assert len(view.relation("T")) == expected
             assert len(keyed) < closure // 2, (rules, step, len(keyed))
+
+
+def test_registration_ticks_only_the_evaluation_joins():
+    # registration builds the indexes the first retract probes (the test
+    # above) without firing a rule, so it joins exactly what the
+    # materializing evaluation joins
+    theory = DenseOrderTheory()
+    db = GeneralizedDatabase(theory)
+    edges = db.create_relation("E", ("x", "y"))
+    for i in range(EDGES):
+        edges.add_point([Fraction(i), Fraction(i + 1)])
+    program = DatalogProgram(parse_rules(RULES, theory=theory), theory)
+    with supervised(Budget(joins=10**9)) as evaluation:
+        program.evaluate(db)
+    with supervised(Budget(joins=10**9)) as registration:
+        MaterializedView(program, db)
+    assert registration.counts["join"] == evaluation.counts["join"] > 0
 
 
 def test_refresh_binds_the_views_to_the_new_world():
