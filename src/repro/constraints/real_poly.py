@@ -215,21 +215,28 @@ class RealPolynomialTheory(ConstraintTheory):
         for each), so the elimination ladder that :meth:`_canonicalize`
         would run on it is skipped.  A variable with two different
         equations, or any other atom, is left to :meth:`_canonicalize`.
+        An equation ``x - c = 0`` with an integer ``c`` (every integer
+        ``add_point`` pin) is primitive with a positive lead already, so it
+        is kept as it is.
         """
-        pins: dict[str, Atom] = {}
+        pins: dict[str, tuple[PolyAtom, bool]] = {}
         for atom in atoms:
             if type(atom) is not PolyAtom or atom.op != "=":
                 return None
             linear = atom.poly.as_linear()
             if linear is None or len(linear[0]) != 1:
                 return None
-            (name,) = linear[0]
-            seen = pins.setdefault(name, atom)
+            ((name, coefficient),) = linear[0].items()
+            primitive = coefficient == 1 and linear[1].denominator == 1
+            seen = pins.setdefault(name, (atom, primitive))[0]
             if seen is not atom and seen != atom:
                 return None
         return tuple(
             sorted(
-                (PolyAtom(atom.poly.primitive(), "=") for atom in pins.values()),
+                (
+                    atom if primitive else PolyAtom(atom.poly.primitive(), "=")
+                    for atom, primitive in pins.values()
+                ),
                 key=str,
             )
         )

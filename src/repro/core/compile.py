@@ -19,8 +19,12 @@ join: every step rejects a candidate whose ``var = const`` pins conflict
 with the pins accumulated so far (one pin map threads the chain), a step
 that leaves the pin fast path extends its parent's incremental solver
 context instead of re-deciding the whole partial conjunction, and each
-tuple's renamed and classified entry record is cached per evaluation.  The
-decisions are:
+tuple's classified entry record is cached per evaluation.  Tuples are read
+and derived in the variables their relations already use: a point tuple's
+record is its pins, mapped positionally onto the body atom's arguments
+(atoms are built from pins only where the join leaves point mode), and the
+leaf emits over the positional ``_0, _1, ...`` of every relation
+:class:`~repro.core.datalog.DatalogProgram` creates.  The decisions are:
 
 * the join order: the semi-naive delta slot first, then the greedy
   selectivity planner's order over the other atoms (see
@@ -28,8 +32,8 @@ decisions are:
 * the access path per step, decided by the step alone: a probe of the
   relation's own generalized 1-d index (:meth:`GeneralizedRelation.index`)
   when the step is not the delta slot and the theory is dense order, else
-  the renamed scan list; probe results are memoized per relation content
-  version;
+  a scan of the source's entry records; probe results are memoized per
+  relation content version;
 * theory-specific satisfiability fast paths: a candidate tuple whose
   constraint is a conjunction of ``var = const`` pins (the overwhelmingly
   common shape for the dense-order and equality theories -- every
@@ -85,12 +89,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Sequence
 
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
 from repro.core.calculus import complement_dnf
-from repro.core.generalized import GeneralizedTuple
+from repro.core.generalized import GeneralizedTuple, positional_variables
+from repro.errors import ArityError
 from repro.logic.syntax import Atom, RelationAtom
 from repro.runtime.budget import tick
 from repro.runtime.chaos import unwrap_theory
@@ -104,8 +109,9 @@ if TYPE_CHECKING:  # imported for annotations only: datalog imports us
 POINT = 0  #: every atom is a ``var = const`` pin (pointwise theories only)
 GENERAL = 1  #: anything else -- the generic solver path handles it
 
-#: a classified join candidate: (renamed atoms, pin map, kind)
-EntryRecord = tuple[tuple[Atom, ...], dict[str, Any], int]
+#: a classified join candidate: (atoms over the body atom's arguments, pin
+#: map, kind); a POINT record's pins are its atoms, so it carries None
+EntryRecord = tuple[tuple[Atom, ...] | None, dict[str, Any], int]
 
 # --------------------------------------------------------------------- planner
 def plan_order(
@@ -215,7 +221,7 @@ def _pointwise(theory: "ConstraintTheory") -> bool:
 
 
 def _classify(
-    renamed: tuple[Atom, ...], pins: dict[str, Any], pointwise: bool
+    atoms: tuple[Atom, ...], pins: dict[str, Any], pointwise: bool
 ) -> int:
     """POINT iff every atom contributed a distinct ``var = const`` pin.
 
@@ -224,7 +230,7 @@ def _classify(
     variable; anything else (intervals, var-var links, duplicate pins)
     conservatively stays GENERAL.
     """
-    if pointwise and len(pins) == len(renamed):
+    if pointwise and len(pins) == len(atoms):
         return POINT
     return GENERAL
 
@@ -331,9 +337,21 @@ class CompiledRule:
     def _record(
         self, item: GeneralizedTuple, args: tuple[str, ...]
     ) -> EntryRecord:
-        renamed = tuple(item.rename(args).atoms)
-        pins = dict(self.theory.pinned_constants(renamed))
-        return (renamed, pins, _classify(renamed, pins, self.pointwise))
+        """``item``'s entry record for a body atom over ``args``.
+
+        The stored tuple's pins are mapped positionally onto ``args``, which
+        are distinct, so the map keeps the pin count and the
+        classification.  A POINT record carries only those pins; any other
+        record also renames the atoms.
+        """
+        if len(args) != len(item.variables):
+            raise ArityError(f"renaming arity mismatch: {item.variables} -> {args}")
+        names = dict(zip(item.variables, args))
+        pins = {names[v]: c for v, c in self.theory.pinned_constants(item.atoms).items()}
+        kind = _classify(item.atoms, pins, self.pointwise)
+        if kind == POINT:
+            return (None, pins, kind)
+        return (tuple(item.rename(args).atoms), pins, kind)
 
     def _records_for(
         self,
@@ -344,9 +362,9 @@ class CompiledRule:
     ) -> list[EntryRecord]:
         """Classified entry records for a tuple source, cached per tuple.
 
-        Records are pure functions of the (tuple, target args) pair; the
-        cache (:class:`RecordCache`) counts its hits and misses as
-        ``rename_cache_*``.
+        Records are pure functions of the (tuple, target args) pair
+        (:meth:`_record`); the cache (:class:`RecordCache`) counts its hits
+        and misses -- records built -- as ``rename_cache_*``.
         """
         key = (atom.name, atom.args)
         per_atom = caches.centries.get(key)
@@ -464,6 +482,11 @@ class CompiledRule:
 
         # ------------------------------------------------------------- leaf
         head_set = frozenset(head_vars)
+        # the leaf derives over the positional variables of the relations
+        # the engine creates, so admission into them renames nothing
+        positions = positional_variables(len(head_vars))
+        to_position = dict(zip(head_vars, positions))
+        head_positions = tuple(zip(head_vars, positions))
 
         def leaf(
             state: _FiringState,
@@ -483,27 +506,40 @@ class CompiledRule:
                 stats.fastpath_leaves += 1
                 stats.tuples_derived += 1
                 emitted = tuple(
-                    make_equality(v, make_constant(pins[v]))
-                    for v in head_vars
+                    make_equality(p, make_constant(pins[v]))
+                    for v, p in head_positions
                     if v in pins
                 )
                 state.results.append(
-                    (head_name, GeneralizedTuple(head_vars, emitted))
+                    (head_name, GeneralizedTuple(positions, emitted))
                 )
                 return
             for eliminated in theory.eliminate(atoms, drop):
                 stats.tuples_derived += 1
+                renamed = tuple(atom.rename(to_position) for atom in eliminated)
                 state.results.append(
-                    (head_name, GeneralizedTuple(head_vars, eliminated))
+                    (head_name, GeneralizedTuple(positions, renamed))
                 )
 
         # ------------------------------------------------------------- steps
-        def extend(atoms: tuple[Atom, ...], solver: Any, more: tuple[Atom, ...]) -> Any:
-            """The solver context of ``atoms + more``.  Leaving point mode
-            (no ``solver``) builds it for the concatenation directly, which
-            the incremental closure matches."""
+        #: shared, never-mutated root pins (children merge into fresh dicts)
+        root_pins = self.root_pin_map
+
+        def pin_atoms(pins: dict[str, Any], skip: Container[str] = ()) -> tuple[Atom, ...]:
+            """``pins`` outside ``skip`` as a stored point tuple's ``v = c`` atoms."""
+            return tuple(
+                make_equality(v, make_constant(c)) for v, c in pins.items() if v not in skip
+            )
+
+        def extend(
+            atoms: tuple[Atom, ...], pins: dict[str, Any], solver: Any, more: tuple[Atom, ...]
+        ) -> Any:
+            """The solver context of the match conjoined with ``more``.  In point
+            mode (no ``solver``) the match is the root's ``atoms``, which point
+            steps pass on unchanged, and its pins; the context is built for
+            those and ``more`` directly, which the incremental closure matches."""
             if solver is None:
-                return theory.begin_conjunction(atoms + more)
+                return theory.begin_conjunction(atoms + pin_atoms(pins, root_pins) + more)
             return theory.extend_conjunction(solver, more)
 
         def make_step(
@@ -636,10 +672,12 @@ class CompiledRule:
                         # pin set is pin consistency, which the pin check
                         # above just decided, so the solver is skipped
                         # outright -- same accept/reject outcome, same
-                        # candidate enumeration, cheaper decision
-                        next_call(state, atoms + renamed, child_pins, True, None)
+                        # candidate enumeration, cheaper decision; the
+                        # match's pins stand for its atoms
+                        next_call(state, atoms, child_pins, True, None)
                         continue
-                    child = extend(atoms, solver, renamed)
+                    more = pin_atoms(cpins) if renamed is None else renamed
+                    child = extend(atoms, pins, solver, more)
                     stats.closure_extensions += 1
                     if not child.satisfiable:
                         stats.join_prunes += 1
@@ -677,26 +715,30 @@ class CompiledRule:
                         stats.pin_prunes += 1
                         continue
                     if kind == POINT and (point or pinned):
-                        meets = True  # the pin check above decided it
-                    elif pinned:
+                        # the pin check above decided that it meets the match
+                        if pinned:
+                            stats.join_prunes += 1
+                            return  # the point lies in N
+                        meeting.append(pin_atoms(cpins))
+                        continue
+                    more = pin_atoms(cpins) if renamed is None else renamed
+                    if pinned:
                         stats.sat_checks += 1
-                        meets = theory.is_satisfiable(
-                            renamed
+                        if theory.is_satisfiable(
+                            more
                             + tuple(make_equality(v, make_constant(pins[v])) for v in args)
-                        )
+                        ):
+                            stats.join_prunes += 1
+                            return  # the point lies in N
                     else:
                         stats.closure_extensions += 1
-                        meets = extend(atoms, solver, renamed).satisfiable
-                    if meets and pinned:
-                        stats.join_prunes += 1
-                        return  # the point lies in N
-                    if meets:
-                        meeting.append(renamed)
+                        if extend(atoms, pins, solver, more).satisfiable:
+                            meeting.append(more)
                 if not meeting:
                     next_call(state, atoms, pins, point, solver)
                     return
                 for part in complement_dnf(meeting, theory):
-                    child = extend(atoms, solver, part)
+                    child = extend(atoms, pins, solver, part)
                     stats.closure_extensions += 1
                     if not child.satisfiable:
                         stats.join_prunes += 1
@@ -710,8 +752,6 @@ class CompiledRule:
             chain = make_step(slot, chain)
 
         # -------------------------------------------------------------- root
-        #: shared, never-mutated root pins (children merge into fresh dicts)
-        root_pins = self.root_pin_map
         root_point = self.root_kind == POINT
 
         def run(state: _FiringState) -> None:

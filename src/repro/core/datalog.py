@@ -38,7 +38,11 @@ from typing import ClassVar, Iterable, Sequence
 from repro.analysis.graph import build_dependency_graph
 from repro.constraints.base import ConstraintTheory, TheoryCache
 from repro.core import compile as rulecompile
-from repro.core.generalized import GeneralizedDatabase, GeneralizedTuple
+from repro.core.generalized import (
+    GeneralizedDatabase,
+    GeneralizedTuple,
+    positional_variables,
+)
 from repro.errors import (
     ArityError,
     BudgetExceededError,
@@ -126,11 +130,11 @@ class Rule:
 class EngineOptions:
     """How a program is planned, rewritten, checked and metered.
 
-    The fast-path layers of the rule join -- the theory cache, the rename
-    cache, the incremental join, the index probes and the join planner --
-    are always on; no option reaches a firing.  The one ablation flag is
-    ``optimize_semantic`` (read at construction); ``all_off()`` switches it
-    off.
+    The fast-path layers of the rule join -- the theory cache, the
+    entry-record cache, the incremental join, the index probes and the
+    join planner -- are always on; no option reaches a firing.  The one
+    ablation flag is ``optimize_semantic`` (read at construction);
+    ``all_off()`` switches it off.
     """
 
     #: run the containment-based semantic optimizer
@@ -662,7 +666,7 @@ class DatalogProgram:
         for name in sorted(idbs):
             if name not in world:
                 arity = self.arities[name]
-                world.create_relation(name, tuple(f"_{i}" for i in range(arity)))
+                world.create_relation(name, positional_variables(arity))
         return world
 
     def _relation_sizes(self, world: GeneralizedDatabase) -> dict[str, int]:

@@ -32,6 +32,7 @@ from repro.core.datalog import Rule
 from repro.core.generalized import (
     GeneralizedDatabase,
     GeneralizedTuple,
+    positional_variables,
 )
 from repro.errors import EvaluationError
 from repro.logic.syntax import Atom, RelationAtom
@@ -113,7 +114,7 @@ class RoundSynchronousEvaluator:
             arities[rule.head.name] = len(rule.head.args)
         for name in sorted(idbs):
             if name not in world:
-                world.create_relation(name, tuple(f"_{i}" for i in range(arities[name])))
+                world.create_relation(name, positional_variables(arities[name]))
         info: dict[str, dict[frozenset[Atom], DerivationInfo]] = {
             name: {} for name in idbs
         }

@@ -114,6 +114,30 @@ class TestCanonicalize:
         assert theory.canonicalize((poly_lt(x, 0), poly_lt(0, x))) is None
 
 
+class TestPointForm:
+    def test_integer_pin_is_kept_as_it_is(self):
+        # x - 3 = 0 is already primitive with a positive lead
+        atom = poly_eq(x, 3)
+        (form,) = theory._point_form((atom,))
+        assert form is atom
+        assert theory._canonicalize((atom,)) == (atom,)
+
+    @pytest.mark.parametrize(
+        "atom, expected",
+        [
+            (poly_eq(x, Fraction(1, 2)), poly_eq(2 * x - 1, 0)),
+            (poly_eq(2 * x, 4), poly_eq(x, 2)),
+            (poly_eq(-x, 3), poly_eq(x, -3)),
+        ],
+        ids=["x-1/2", "2x-4", "-x-3"],
+    )
+    def test_any_other_pin_is_made_primitive(self, atom, expected):
+        (form,) = theory._point_form((atom,))
+        assert form == expected
+        assert str(form) == str(expected)
+        assert (form,) == theory._canonicalize((atom,))
+
+
 class TestPins:
     def test_linear_equation_pins_its_variable_exactly(self):
         pins = theory.pinned_constants((poly_eq(2 * x - 1, 0),))

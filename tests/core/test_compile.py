@@ -22,7 +22,9 @@ from repro.constraints.equality import EqualityTheory
 from repro.core.calculus import evaluate_calculus
 from repro.core.compile import PLAN_CACHE, PlanCache, render_plan
 from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats
-from repro.core.generalized import GeneralizedDatabase
+from repro.core.generalized import GeneralizedDatabase, GeneralizedTuple
+from repro.core.magic import select_answers
+from repro.core.query import Engine
 from repro.logic.parser import parse_rules
 
 TC_RULES = """
@@ -404,3 +406,109 @@ class TestRenderPlan:
         assert len(world.relation("T")) > len(world.relation("E"))
         text = render_plan(program, program.rules[1], world)
         assert "order: [1, 0]" in text  # E (position 1) scans first
+
+
+SEP_RULES = TC_RULES + "Sep(x, y) :- V(x), V(y), not T(x, y).\n"
+
+
+class TestTuplesInRelationVariables:
+    """The leaf derives over the positional ``_0, _1, ...`` of the relations
+    the engine creates, and a point tuple's entry record is its pins mapped
+    onto the body atom's arguments: a point fixpoint renames no tuple,
+    while a relation that keeps its own variables is still renamed into."""
+
+    @pytest.mark.parametrize(
+        "theory_cls, rules_text, records",
+        [
+            (DenseOrderTheory, TC_RULES, 167),
+            (EqualityTheory, TC_RULES, 168),
+            (DenseOrderTheory, SEP_RULES, 260),
+            (EqualityTheory, SEP_RULES, 316),
+        ],
+        ids=["dense-tc", "equality-tc", "dense-sep", "equality-sep"],
+    )
+    def test_point_fixpoint_renames_nothing(
+        self, monkeypatch, theory_cls, rules_text, records
+    ):
+        theory = theory_cls()
+        db = _chain_db(theory, 16)
+        nodes = db.create_relation("V", ("x",))
+        for i in range(6):
+            nodes.add_point([i])
+        renames = []
+        rename = GeneralizedTuple.rename
+
+        def counting(item, targets):
+            renames.append(targets)
+            return rename(item, targets)
+
+        monkeypatch.setattr(GeneralizedTuple, "rename", counting)
+        world, stats = _program(theory, rules_text=rules_text).evaluate(db)
+        assert renames == []
+        # one entry record per (tuple, body atom) pair
+        assert stats.rename_cache_misses == records
+        assert world.relation("T").variables == ("_0", "_1")
+        assert len(world.relation("T")) == 136
+        if "Sep" in world:
+            # 36 pairs of V less the 15 with x < y, which T holds
+            assert len(world.relation("Sep")) == 21
+
+    NEGATED_RULES = TC_RULES + "S(x, y) :- V(x), V(y), not T(x, y).\n"
+
+    @staticmethod
+    def _idb_input_db(theory):
+        """``E`` a five-edge chain, ``V`` four nodes, and ``T`` -- derived
+        by the rules -- holding the point (7, 6) and the interval tuple
+        ``a = 6, 0 <= b <= 1`` over its own variables ``(a, b)``."""
+        db = _chain_db(theory, 5)
+        nodes = db.create_relation("V", ("x",))
+        for value in (0, 2, 4, 6):
+            nodes.add_point([value])
+        given = db.create_relation("T", ("a", "b"))
+        given.add_point([7, 6])
+        given.add_tuple((eq("a", 6), le(0, "b"), le("b", 1)))
+        return db
+
+    def test_idb_named_input_relation_keeps_its_variables(self):
+        theory = DenseOrderTheory()
+        db = self._idb_input_db(theory)
+        program = _program(theory, rules_text=self.NEGATED_RULES)
+        world, _ = program.evaluate(db)
+        reference_theory = DenseOrderTheory()
+        expected = reference_fixpoint(
+            parse_rules(self.NEGATED_RULES, theory=reference_theory),
+            reference_theory,
+            self._idb_input_db(reference_theory),
+        )
+        for name in ("T", "S"):
+            found = compare_relations(
+                world.relation(name),
+                expected.relation(name),
+                "engine",
+                "reference",
+                "dense_order",
+            )
+            assert found is None, found
+        # the chain's 15, the 2 given, and (6, 1) ... (6, 5), which the
+        # interval tuple derives through the chain
+        assert world.relation("T").variables == ("a", "b")
+        assert len(world.relation("T")) == 22
+        # 16 pairs of V, less (0, 2), (0, 4), (2, 4) and (6, 0), (6, 2),
+        # (6, 4), which the interval tuple's derivations hold
+        assert world.relation("S").variables == ("_0", "_1")
+        assert len(world.relation("S")) == 10
+        assert len(db.relation("T")) == 2  # the input is not written
+
+    def test_goal_on_idb_named_input_relation(self):
+        theory = DenseOrderTheory()
+        rules = parse_rules(self.NEGATED_RULES, theory=theory)
+        engine = Engine(rules, theory, database=self._idb_input_db(theory))
+        result = engine.query("T(0, y)")
+        full, _ = DatalogProgram(rules, theory).evaluate(self._idb_input_db(theory))
+        expected = select_answers(full.relation("T"), result.query, theory)
+
+        def points(relation):
+            return {frozenset(t.rename(("u", "v")).atoms) for t in relation}
+
+        assert len(result.relation) == 5
+        assert points(result.relation) == points(expected)

@@ -12,6 +12,7 @@ semantically through :func:`repro.conformance.oracles.compare_relations`.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.conformance.oracles import compare_relations
@@ -164,6 +165,37 @@ def test_real_poly_interval_minus_interval():
         (4, True), (5, False),
     ):
         assert answer.contains_values([Fraction(value)]) is inside, value
+
+
+@pytest.mark.parametrize(
+    "make_theory, theory_name",
+    [(DenseOrderTheory, "dense_order"), (EqualityTheory, "equality")],
+)
+def test_point_match_with_a_free_argument_minus_points(make_theory, theory_name):
+    # V's tuple pins x alone, so its match stays a point match that leaves
+    # y free: the difference step conjoins it with the complement of the
+    # points of N it meets, whose atoms it builds from their pins
+    theory = make_theory()
+    rules = parse_rules("U(x, y) :- V(x, y), not N(x, y).", theory=theory)
+    db = GeneralizedDatabase(theory)
+    db.create_relation("V", ("x", "y")).add_tuple(
+        [theory.equality("x", theory.constant(3))]
+    )
+    negated = db.create_relation("N", ("x", "y"))
+    for point in ((3, 5), (3, 7), (4, 5)):
+        negated.add_point(point)
+    expected = reference_fixpoint(rules, theory, db).relation("U")
+    world, _stats = DatalogProgram(rules, theory).evaluate(db)
+    found = compare_relations(
+        expected, world.relation("U"), "reference", "engine", theory_name
+    )
+    assert found is None, found.describe()
+    answer = world.relation("U")
+    for point, inside in (
+        ((3, 5), False), ((3, 6), True), ((3, 7), False), ((3, 8), True),
+        ((4, 6), False),
+    ):
+        assert answer.contains_values(point) is inside, point
 
 
 class TestFourTheoryMatrix:

@@ -470,3 +470,56 @@ class TestContextManager:
             view.insert("E", _point(1, 2))
         # caches are torn down; reads still work on the final world
         assert len(view.relation("T")) == 3
+
+
+class TestIdbNamedInputRelation:
+    """A derived relation the input gives over its own variables keeps
+    them: every tuple the rules derive into it is renamed on admission,
+    and the maintained world stays the scratch fixpoint."""
+
+    RULES = TC_RULES + "S(x, y) :- V(x), V(y), not T(x, y).\n"
+    CHAIN = [(i, i + 1) for i in range(5)]
+
+    @staticmethod
+    def _interval_edge(theory):
+        """``x = 5 and 6 <= y <= 7``"""
+        return GeneralizedTuple(
+            ("x", "y"),
+            (
+                theory.equality("x", theory.constant(5)),
+                theory.le(6, "y"),
+                theory.le("y", 7),
+            ),
+        )
+
+    @staticmethod
+    def _input(theory, edges):
+        db = _db(theory, E=edges)
+        nodes = db.create_relation("V", ("x",))
+        for value in (0, 2, 4, 6):
+            nodes.add_point([Fraction(value)])
+        db.create_relation("T", ("a", "b"))
+        return db
+
+    def test_insert_and_retract_match_scratch(self):
+        theory = _theory()
+        with MaterializedView(
+            _program(self.RULES, theory), self._input(theory, self.CHAIN)
+        ) as view:
+            assert view.relation("T").variables == ("a", "b")
+            stats = view.insert("E", self._interval_edge(theory))
+            assert stats.ivm_derived_added > 0
+            assert view.retract("E", _point(2, 3)).ivm_derived_removed > 0
+            assert view.relation("T").variables == ("a", "b")
+            scratch_theory = _theory()
+            scratch = self._input(
+                scratch_theory, [e for e in self.CHAIN if e != (2, 3)]
+            )
+            scratch.relation("E").add(self._interval_edge(scratch_theory))
+            world, _ = _program(self.RULES, scratch_theory).evaluate(scratch)
+            assert view.fingerprint() == {
+                n: frozenset(world.relation(n).keys()) for n in world.names()
+            }
+            # the 16 pairs of V less (0, 2) and (4, 6); T holds the second
+            # in the interval tuple the inserted edge derives
+            assert len(view.relation("S")) == 14

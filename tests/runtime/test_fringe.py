@@ -139,11 +139,11 @@ class TestFringeMode:
 
 
 class TestDeadlineAcceptance:
-    """The ISSUE.md acceptance criterion: a dense-order transitive-closure
-    query that runs for seconds unbudgeted returns a sound partial fringe
-    under a 50 ms deadline."""
+    """A dense-order transitive-closure query whose unbudgeted closure
+    (11,325 tuples) takes several times the deadline returns a sound
+    partial fringe under a 50 ms deadline."""
 
-    N = 55  # long chain: the full closure has N*(N+1)/2 tuples
+    N = 150  # long chain: the full closure has N*(N+1)/2 tuples
 
     def test_deadline_yields_sound_partial_fringe(self):
         part_world, part_stats = _evaluate(
