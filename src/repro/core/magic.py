@@ -72,6 +72,7 @@ from repro.core.generalized import (
     GeneralizedDatabase,
     GeneralizedRelation,
     GeneralizedTuple,
+    positional_variables,
 )
 from repro.errors import EvaluationError
 from repro.logic.syntax import (
@@ -407,7 +408,10 @@ class MagicPlan:
     ``rules`` is the program to evaluate, ``answer`` the predicate holding
     the (pre-selection) answers.  ``seed_name``/``seed_positions`` describe
     the magic seed relation (``None`` when nothing is seeded -- the all-free
-    query or a full fallback).  ``fallback_predicates`` lists predicates
+    query or a full fallback), and ``adorned`` pairs each predicate the
+    rewrite adorns with its adorned relation, which :func:`seed_world`
+    starts from the input's tuples of that predicate.
+    ``fallback_predicates`` lists predicates
     evaluated without magic restriction because their derivation cone
     contains negation; ``full_fallback`` marks plans that degrade to plain
     full evaluation.  ``semantics`` is what ``rules`` are evaluated under:
@@ -422,6 +426,7 @@ class MagicPlan:
     adornment: str
     seed_name: str | None = None
     seed_positions: tuple[int, ...] = ()
+    adorned: tuple[tuple[str, str], ...] = ()
     magic_rules: int = 0
     fallback_predicates: tuple[str, ...] = ()
     full_fallback: bool = False
@@ -495,7 +500,7 @@ def magic_plan(
     cone = graph.reachable_from(*negated) & graph.idb
     if query.predicate in cone:
         return full
-    rewritten, magic_count = _rewrite(relevant, query, reachable - cone)
+    rewritten, magic_count, adorned = _rewrite(relevant, query, reachable - cone)
     for rule in relevant:
         if rule.head.name in cone:
             rewritten.append(rule)
@@ -505,6 +510,7 @@ def magic_plan(
         adornment=adornment,
         seed_name=_magic_name(query.predicate, adornment),
         seed_positions=bound,
+        adorned=adorned,
         magic_rules=magic_count,
         fallback_predicates=tuple(sorted(cone)),
         semantics=evaluation,
@@ -530,31 +536,34 @@ def magic_rewrite(
         raise EvaluationError(f"{query.predicate} is not an IDB predicate")
     if not query.bound_positions():
         return list(rules), query.predicate
-    rewritten, _count = _rewrite(rules, query, idbs)
+    rewritten, _count, _adorned = _rewrite(rules, query, idbs)
     return rewritten, _adorned_name(query.predicate, query.adornment)
 
 
 def _rewrite(
     rules: Sequence[Rule], query: MagicQuery, idbs: AbstractSet[str]
-) -> tuple[list[Rule], int]:
-    """The adornment-driven rewrite over ``idbs``; returns (rules, magic rules)."""
+) -> tuple[list[Rule], int, tuple[tuple[str, str], ...]]:
+    """The adornment-driven rewrite over ``idbs``; returns (rules, magic
+    rules, (predicate, adorned relation) pairs)."""
     rules_by_head: dict[str, list[Rule]] = {}
     for rule in rules:
         rules_by_head.setdefault(rule.head.name, []).append(rule)
     rewritten: list[Rule] = []
     magic_count = 0
     processed: set[tuple[str, str]] = set()
+    adorned: list[tuple[str, str]] = []
     pending: list[tuple[str, str]] = [(query.predicate, query.adornment)]
     while pending:
         predicate, adornment = pending.pop()
         if (predicate, adornment) in processed:
             continue
         processed.add((predicate, adornment))
+        adorned.append((predicate, _adorned_name(predicate, adornment)))
         for rule in rules_by_head.get(predicate, []):
             new_rules, new_magic = _rewrite_rule(rule, adornment, idbs, pending)
             rewritten.extend(new_rules)
             magic_count += new_magic
-    return rewritten, magic_count
+    return rewritten, magic_count, tuple(adorned)
 
 
 def _rewrite_rule(
@@ -632,13 +641,22 @@ def seed_world(
     atoms linking bound positions forced equal by the query.  The tuple is
     canonicalized on insertion; an unsatisfiable binding leaves the seed
     relation empty, so the guarded cone (and hence the answer) is empty
-    without evaluating anything.
+    without evaluating anything.  Like every relation the engine creates
+    for a predicate, the seed is over the positional ``_0, _1, ...``, the
+    variables the magic rules derive over, so their admissions rename
+    nothing.
+
+    An adorned relation ``P__a`` stands for ``P`` in the rewritten rules,
+    which derive only what the rules derive, so it starts with the input's
+    own tuples of ``P``, if the input has any: every one of them is a
+    tuple of ``P``'s full fixpoint, and the final selection keeps those the
+    bindings meet.
 
     The source relations are *shared*, not copied -- ``evaluate`` never
     writes the relations a program only reads and copies the ones it
-    derives, so only the fresh seed relation is ever created here, the
-    source database is not mutated, and the join indexes on its relations
-    serve every query over it.
+    derives, so only the seed and those adorned relations are created
+    here, the source database is not mutated, and the join indexes on its
+    relations serve every query over it.
     """
     world = GeneralizedDatabase(database.theory)
     for relation in database.relations():
@@ -647,7 +665,7 @@ def seed_world(
         return world
     theory = database.theory
     positions = plan.seed_positions
-    variables = tuple(f"_m{i}" for i in range(len(positions)))
+    variables = positional_variables(len(positions))
     by_position = dict(zip(positions, variables))
     seed = world.create_relation(plan.seed_name, variables)
     atoms: list[Atom] = []
@@ -660,6 +678,12 @@ def seed_world(
         if left in by_position and right in by_position:
             atoms.append(theory.equality(by_position[left], by_position[right]))
     seed.add_tuple(tuple(atoms))
+    for predicate, adorned in plan.adorned:
+        if predicate in database:
+            given = database.relation(predicate)
+            start = world.create_relation(adorned, positional_variables(given.arity))
+            for item in given:
+                start.add(item)
     return world
 
 

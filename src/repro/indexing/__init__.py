@@ -18,7 +18,8 @@ secondary storage.  This package provides:
 * :mod:`repro.indexing.priority_search_tree` -- McCreight's priority search
   tree over (x, y) points, with the classical interval-stabbing embedding;
 * :mod:`repro.indexing.generalized_index` -- the generalized 1-dimensional
-  index of the paper: projection of generalized tuples to interval keys,
+  index of the paper: projection of generalized tuples to interval keys
+  (point keys ``[c, c]`` in a point table, the rest in an interval tree),
   indexed search that conjoins the range constraint to matching tuples only,
   insert/delete, plus the naive linear-scan baseline it is benchmarked
   against.

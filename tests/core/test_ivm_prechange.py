@@ -71,13 +71,13 @@ def _chain_view(rules=RULES):
 def keyed(monkeypatch):
     """Every tuple projected onto an index attribute, in call order."""
     calls = []
-    original = generalized_index.tuple_projection_interval
+    original = generalized_index.tuple_key
 
     def counting(item, attribute, theory):
         calls.append(item)
         return original(item, attribute, theory)
 
-    monkeypatch.setattr(generalized_index, "tuple_projection_interval", counting)
+    monkeypatch.setattr(generalized_index, "tuple_key", counting)
     return calls
 
 

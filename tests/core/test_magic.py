@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro.constraints.dense_order import DenseOrderTheory, le, lt
+from repro.constraints.dense_order import DenseOrderTheory, eq, le, lt
 from repro.core.datalog import DatalogProgram, EngineOptions
-from repro.core.generalized import GeneralizedDatabase
+from repro.core.generalized import GeneralizedDatabase, GeneralizedTuple
 from repro.core.magic import (
     SLOT,
     Binding,
@@ -28,6 +28,10 @@ order = DenseOrderTheory()
 TC_RULES = """
 T(x, y) :- E(x, y).
 T(x, y) :- T(x, z), E(z, y).
+"""
+RIGHT_TC_RULES = """
+T(x, y) :- E(x, y).
+T(x, y) :- E(x, z), T(z, y).
 """
 
 
@@ -123,6 +127,82 @@ class TestSemantics:
         assert answers.contains_values([Fraction(0), Fraction(4)])
         assert answers.contains_values([Fraction(3), Fraction(4)])
         assert not answers.contains_values([Fraction(0), Fraction(3)])
+
+
+class TestSeedWorld:
+    @pytest.mark.parametrize("rules_text", [TC_RULES, RIGHT_TC_RULES],
+                             ids=["left", "right"])
+    def test_point_goal_cone_renames_nothing(self, monkeypatch, rules_text):
+        # the seed relation is over the positional variables the magic
+        # rules derive over, so no magic tuple is renamed on admission
+        rules = parse_rules(rules_text, theory=order)
+        renames = []
+        rename = GeneralizedTuple.rename
+
+        def counting(item, targets):
+            renames.append(targets)
+            return rename(item, targets)
+
+        monkeypatch.setattr(GeneralizedTuple, "rename", counting)
+        engine = Engine(rules, order, database=two_chains_db())
+        result = engine.query("T(0, y)")
+        assert len(result.relation) == 5
+        assert result.magic_rules >= 1
+        assert renames == []
+
+    @staticmethod
+    def _idb_input_db(theory):
+        """``E`` a five-edge chain and ``T`` -- derived by the rules --
+        holding the point (7, 6) and the interval tuple ``a = 6, 0 <= b <=
+        1`` over its own variables ``(a, b)``."""
+        db = GeneralizedDatabase(theory)
+        edge = db.create_relation("E", ("x", "y"))
+        for i in range(5):
+            edge.add_point([i, i + 1])
+        given = db.create_relation("T", ("a", "b"))
+        given.add_point([7, 6])
+        given.add_tuple((eq("a", 6), le(0, "b"), le("b", 1)))
+        return db
+
+    @pytest.mark.parametrize("rules_text", [TC_RULES, RIGHT_TC_RULES],
+                             ids=["left", "right"])
+    @pytest.mark.parametrize("goal", [
+        "T(6, y)", "T(0, y)", "T(x, 6)", "T(x, 1)",
+        "T(x, y), 5 < x, x < 8", "T(x, y), 0 < y, y < 2",
+    ])
+    def test_adorned_relations_start_from_the_input(self, rules_text, goal):
+        theory = DenseOrderTheory()
+        rules = parse_rules(rules_text, theory=theory)
+
+        def keys(relation):
+            return {
+                frozenset(theory.canonicalize(t.rename(("u", "v")).atoms))
+                for t in relation
+            }
+
+        expected = keys(
+            Engine(
+                rules, theory, options=EngineOptions(magic=False),
+                database=self._idb_input_db(theory),
+            ).query(goal).relation
+        )
+        magic = Engine(rules, theory, database=self._idb_input_db(theory)).query(goal)
+        assert not magic.full_fallback
+        assert keys(magic.relation) == expected
+        driven = answer_magic_query(
+            rules, parse_goal(goal, theory), self._idb_input_db(theory)
+        )
+        assert keys(driven) == expected
+        if goal == "T(6, y)" and rules_text == TC_RULES:
+            # (6, b) for 0 <= b <= 1 and (6, 1) ... (6, 5) through the chain
+            assert len(expected) == 6
+
+    def test_plan_names_each_adorned_relation(self):
+        rules = parse_rules(RIGHT_TC_RULES, theory=order)
+        plan = magic_plan(rules, MagicQuery("T", 2, {0: 0}), order)
+        assert plan.adorned == (("T", "T__bf"),)
+        assert seed_world(two_chains_db(), plan, MagicQuery("T", 2, {0: 0})).names() \
+            == ["E", "_magic_T_bf"]
 
 
 class TestBinding:

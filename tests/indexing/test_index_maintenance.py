@@ -2,12 +2,16 @@
 
 A :class:`GeneralizedIndex1D` returned by :meth:`GeneralizedRelation.index`
 outlives any one evaluation, so every later fixpoint over the relation
-trusts it.  Two properties keep that trust earned:
+trusts it.  These properties keep that trust earned:
 
 * after any add/discard/clear sequence the maintained index answers every
   probe with the *same ordered list* as an index built fresh over the
   relation -- candidate order decides join enumeration order, hence
   fixpoint insertion order and budget tick counts;
+* that list is the one a model with no point table and no tree gives: the
+  relation's keyed tuples sorted by key (:meth:`Interval.sort_key`) and
+  then by position in the relation, keeping those whose key meets the
+  probe; and a relation of point keys never reaches the interval tree;
 * a theory call that raises in the middle of an update or a probe leaves
   relation and index in agreement, with no stale and no missing tuple;
 * probes racing from several threads key every queued append exactly once.
@@ -27,7 +31,10 @@ from repro.errors import TheoryError
 from repro.indexing.generalized_index import (
     GeneralizedIndex1D,
     NaiveGeneralizedSearch,
+    tuple_projection_interval,
 )
+from repro.indexing.interval import Interval
+from repro.indexing.interval_tree import IntervalTree
 
 order = DenseOrderTheory()
 
@@ -127,6 +134,133 @@ def test_maintained_index_equals_fresh_index_in_order(ops):
     fresh_y = GeneralizedIndex1D(relation, "y")
     for low, high in _PROBES:
         _same_order(by_y.candidates(low, high), fresh_y.candidates(low, high))
+
+
+@st.composite
+def _keyed(draw):
+    """A tuple over (x, y) whose x key is a point, a closed, half-open or
+    open interval, a ray either way, a punctured interval or unbounded;
+    x's ends come from few values, so points and intervals often share a
+    low end (closed or open) and a probe often meets both."""
+    low, high = sorted((draw(_values), draw(_values)))
+    y = eq("y", Fraction(draw(st.integers(min_value=0, max_value=2))))
+    shape = draw(st.sampled_from([
+        "point", "point", "closed", "half_open", "open", "up", "down",
+        "punctured", "free",
+    ]))
+    if shape == "point" or low == high:
+        return (eq("x", low), y)
+    return {
+        "closed": (le(low, "x"), le("x", high), y),
+        "half_open": (lt(low, "x"), le("x", high), y),
+        "open": (lt(low, "x"), lt("x", high), y),
+        "up": (le(low, "x"), y),
+        "down": (lt("x", high), y),
+        "punctured": (le(low, "x"), le("x", high), ne("x", low), y),
+        "free": (le(low, "y"), le("y", high)),
+    }[shape]
+
+
+@st.composite
+def _any_probe(draw):
+    """A point probe [c, c], a bounded probe or a probe unbounded on either
+    side or both."""
+    if draw(st.booleans()):
+        value = draw(_bounds.filter(lambda bound: bound is not None))
+        return (value, value)
+    return draw(_probe())
+
+
+_model_ops = st.one_of(
+    st.tuples(st.just("add"), _keyed()),
+    st.tuples(st.just("adopt"), _keyed()),
+    st.tuples(st.just("discard"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("discard_key"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("clear"), st.none()),
+    st.tuples(st.just("probe"), _any_probe()),
+)
+
+
+def _model_candidates(relation, low, high):
+    """The ordered candidates of an index on x, from a model that keeps no
+    point table and no tree: every keyed tuple of the relation, by key and
+    then by position in the relation, kept when its key meets the probe."""
+    query = Interval(low, high)
+    keyed = []
+    for position, (_, item) in enumerate(relation.entries()):
+        key = tuple_projection_interval(item, "x", order)
+        if key is not None and key.overlaps(query):
+            keyed.append((key.sort_key(), position, item))
+    keyed.sort(key=lambda entry: entry[:2])
+    return [item for _, _, item in keyed]
+
+
+@given(st.lists(_model_ops, min_size=4, max_size=40))
+@example([("add", (le(Fraction(1), "x"), le("x", Fraction(3)), eq("y", 0))),
+          ("add", (eq("x", Fraction(1)), eq("y", 0))),
+          ("add", (lt(Fraction(1), "x"), eq("y", 0))),
+          ("add", (le(Fraction(1), "x"), eq("y", 1))),
+          ("probe", (Fraction(1), Fraction(1))),
+          ("discard", 0),
+          ("add", (le(Fraction(1), "x"), le("x", Fraction(3)), eq("y", 0))),
+          ("probe", (None, None))])
+def test_index_lists_candidates_as_the_sorted_model_does(ops):
+    relation = GeneralizedRelation("R", ("x", "y"), order)
+    index = relation.index("x")
+    for kind, arg in ops:
+        if kind == "add":
+            relation.add_tuple(arg)
+        elif kind == "adopt":
+            canonical = order.canonicalize(arg)
+            if canonical is not None:
+                relation.adopt_canonical(GeneralizedTuple(("x", "y"), canonical))
+        elif kind in ("discard", "discard_key") and len(relation):
+            key, item = relation.entries()[arg % len(relation)]
+            if kind == "discard":
+                assert relation.discard(item)
+            else:
+                assert relation.discard_key(key) is item
+        elif kind == "clear":
+            relation.clear()
+        elif kind == "probe":
+            low, high = arg
+            _same_order(
+                index.candidates(low, high), _model_candidates(relation, low, high)
+            )
+    assert len(index) == len(relation)
+    for low, high in _PROBES:
+        _same_order(index.candidates(low, high), _model_candidates(relation, low, high))
+
+
+def test_point_keys_never_reach_the_interval_tree(monkeypatch):
+    calls = []
+    for method in ("insert", "remove", "overlapping", "stab"):
+        original = getattr(IntervalTree, method)
+
+        def counting(self, *args, _method=method, _original=original):
+            calls.append(_method)
+            return _original(self, *args)
+
+        monkeypatch.setattr(IntervalTree, method, counting)
+    relation = GeneralizedRelation("R", ("x", "y"), order)
+    for i in range(12):
+        relation.add_tuple((eq("x", Fraction(i % 4)), eq("y", Fraction(i))))
+    index = relation.index("x")
+    probes = [(Fraction(2), Fraction(2)), (Fraction(1), Fraction(5, 2)),
+              (None, Fraction(1)), (None, None)]
+    for low, high in probes:
+        _same_order(index.candidates(low, high), _model_candidates(relation, low, high))
+    for key, _ in relation.entries()[::3]:
+        relation.discard_key(key)
+    relation.add_tuple((eq("x", Fraction(9)), eq("y", Fraction(0))))
+    for low, high in probes:
+        _same_order(index.candidates(low, high), _model_candidates(relation, low, high))
+    assert calls == []
+    # an interval key does go to the tree, and a probe then asks it
+    relation.add_tuple((le(Fraction(1), "x"), le("x", Fraction(2)), eq("y", 0)))
+    index.candidates(Fraction(2), Fraction(2))
+    assert calls == ["insert", "overlapping"]
+
 
 
 class _FaultyOrder(DenseOrderTheory):
