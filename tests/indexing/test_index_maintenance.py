@@ -262,7 +262,6 @@ def test_point_keys_never_reach_the_interval_tree(monkeypatch):
     assert calls == ["insert", "overlapping"]
 
 
-
 class _FaultyOrder(DenseOrderTheory):
     """Dense order whose named theory call raises TheoryError once, when armed."""
 
